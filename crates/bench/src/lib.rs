@@ -766,40 +766,34 @@ pub fn validate_bench_0009(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// BENCH_0006 — execution lanes + frame batching + local-move hops.
+/// BENCH_0006 — local-move hops.
 ///
-/// Three workloads, one JSON file:
+/// Two workloads, one JSON file:
 ///
 /// * **threads / ring**: walkers circulate a ring whose nodes are placed
 ///   in contiguous per-daemon blocks, each carrying a payload string —
 ///   so most hops are same-daemon and encode/decode cost is visible.
-///   Run once as the `baseline` (lanes=1, no batching, no local move)
-///   and once `optimized` (lanes=4 + batching + local move); the
-///   messengers/sec ratio between the two rows is the PR's headline
-///   speedup and must reach ≥1.5× in full mode.
-/// * **threads / scatter**: messengers at a hub replicate to 16 spokes
-///   on one remote daemon, so every flush coalesces a full batch —
-///   proving `batch_flushes`/`batch_frames` move under the optimized
-///   config (asserted even in smoke mode; it is deterministic).
+///   Run once as the `baseline` (default config) and once with
+///   `local_move` on; the messengers/sec ratio between the two rows is
+///   the headline speedup and must reach ≥1.5× in full mode.
 /// * **sim / lossy ring**: the same ring under 5% frame loss with the
-///   reliable transport, recording the xport delivery p50/p99 the
-///   trajectory tracks.
+///   reliable transport at the default config, recording the xport
+///   delivery p50/p99.
 ///
-/// Every data point is verified before its timing is reported (visit /
-/// delivery counts), mirroring the rest of this harness.
+/// Every data point is verified before its timing is reported (visit
+/// counts), mirroring the rest of this harness.
 ///
 /// # Panics
 ///
-/// Panics if any run fails, any verification count is off, or the
-/// optimized threads run never forms a batch.
-pub fn ablation_lanes(smoke: bool) -> String {
+/// Panics if any run fails or any verification count is off.
+pub fn ablation_move(smoke: bool) -> String {
     use msgr_core::topology::LogicalTopology;
-    use msgr_core::{BatchPolicy, DaemonId, ThreadCluster};
+    use msgr_core::{DaemonId, ThreadCluster};
     use msgr_sim::FaultPlan;
     use msgr_vm::{Dir, Value};
 
-    const LANE_WALK: &str = r#"
-    lanewalk(passes, payload) {
+    const MOVE_WALK: &str = r#"
+    movewalk(passes, payload) {
         int i = 0;
         node int visits;
         visits = visits + 1;
@@ -810,18 +804,10 @@ pub fn ablation_lanes(smoke: bool) -> String {
         }
     }
     "#;
-    const SCATTER: &str = r#"
-    scatter() {
-        node int seen;
-        hop(ll = "out"; ldir = +);
-        seen = seen + 1;
-    }
-    "#;
 
     let daemons = 4usize;
     let (nodes, walkers, passes, payload_len) =
         if smoke { (16usize, 16usize, 12i64, 512usize) } else { (64, 256, 192, 4096) };
-    let (spokes, scatters) = if smoke { (8usize, 8usize) } else { (16, 128) };
     let repeats = if smoke { 1 } else { 3 };
 
     let ring_topo = |nodes: usize| {
@@ -840,22 +826,19 @@ pub fn ablation_lanes(smoke: bool) -> String {
         }
         topo
     };
-    let lane_cfg = |lanes: usize, batch: bool, local_move: bool| {
+    let move_cfg = |local_move: bool| {
         let mut cfg = ClusterConfig::new(daemons);
         cfg.seed = 42;
-        cfg.lanes = lanes;
-        cfg.batch = if batch { BatchPolicy::on() } else { BatchPolicy::off() };
         cfg.local_move = local_move;
         cfg
     };
     let payload = Value::str("x".repeat(payload_len));
 
     // One verified threads ring run; returns (wall seconds, merged stats).
-    let ring_threads = |lanes: usize, batch: bool, local_move: bool| {
-        let mut cluster =
-            ThreadCluster::new(lane_cfg(lanes, batch, local_move)).expect("threads cluster");
+    let ring_threads = |local_move: bool| {
+        let mut cluster = ThreadCluster::new(move_cfg(local_move)).expect("threads cluster");
         cluster.build(&ring_topo(nodes)).expect("build ring");
-        let pid = cluster.register_program(&msgr_lang::compile(LANE_WALK).expect("compile"));
+        let pid = cluster.register_program(&msgr_lang::compile(MOVE_WALK).expect("compile"));
         for m in 0..walkers {
             cluster
                 .inject_at(
@@ -878,15 +861,15 @@ pub fn ablation_lanes(smoke: bool) -> String {
         assert_eq!(
             visits,
             walkers as i64 * (passes + 1),
-            "ring visits wrong (lanes={lanes} batch={batch} move={local_move})"
+            "ring visits wrong (local_move={local_move})"
         );
         (rep.wall_seconds, rep.stats)
     };
     // Best-of-N to shave scheduler noise off the wall-clock rows.
-    let ring_best = |lanes: usize, batch: bool, local_move: bool| {
+    let ring_best = |local_move: bool| {
         let mut best: Option<(f64, msgr_sim::Stats)> = None;
         for _ in 0..repeats {
-            let (w, s) = ring_threads(lanes, batch, local_move);
+            let (w, s) = ring_threads(local_move);
             if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
                 best = Some((w, s));
             }
@@ -894,25 +877,16 @@ pub fn ablation_lanes(smoke: bool) -> String {
         best.expect("at least one repeat")
     };
 
-    let ring_row = |config: &str,
-                    lanes: usize,
-                    batch: bool,
-                    local_move: bool,
-                    wall: f64,
-                    stats: &msgr_sim::Stats| {
+    let ring_row = |config: &str, local_move: bool, wall: f64, stats: &msgr_sim::Stats| {
         let retired = stats.counter("terminated");
         let hops = stats.counter("hops");
         format!(
             concat!(
                 "    {{\"platform\": \"threads\", \"workload\": \"ring\", \"config\": \"{}\", ",
-                "\"lanes\": {}, \"batch\": {}, \"local_move\": {}, ",
-                "\"wall_seconds\": {:.6}, \"messengers_per_sec\": {:.1}, \"hops_per_sec\": {:.1}, ",
-                "\"hops\": {}, \"retired\": {}, \"migration_bytes\": {}, \"lane_steals\": {}, ",
-                "\"batch_flushes\": {}, \"batch_frames\": {}, \"batch_bytes_saved\": {}}}"
+                "\"local_move\": {}, \"wall_seconds\": {:.6}, \"messengers_per_sec\": {:.1}, ",
+                "\"hops_per_sec\": {:.1}, \"hops\": {}, \"retired\": {}, \"migration_bytes\": {}}}"
             ),
             config,
-            lanes,
-            batch,
             local_move,
             wall,
             retired as f64 / wall.max(1e-9),
@@ -920,89 +894,25 @@ pub fn ablation_lanes(smoke: bool) -> String {
             hops,
             retired,
             stats.counter("migration_bytes"),
-            stats.counter("lane_steals"),
-            stats.counter("batch_flushes"),
-            stats.counter("batch_frames"),
-            stats.counter("batch_bytes_saved"),
         )
     };
 
-    let (base_wall, base_stats) = ring_best(1, false, false);
-    let (opt_wall, opt_stats) = ring_best(4, true, true);
+    let (base_wall, base_stats) = ring_best(false);
+    let (move_wall, move_stats) = ring_best(true);
     let base_rate = base_stats.counter("terminated") as f64 / base_wall.max(1e-9);
-    let opt_rate = opt_stats.counter("terminated") as f64 / opt_wall.max(1e-9);
-    let speedup = opt_rate / base_rate.max(1e-9);
-
-    // Scatter: hub on daemon 0, all spokes on daemon 1 — every hop is a
-    // 16-way replicate to one peer, so batching must fire.
-    let scatter_run = || {
-        let mut cluster = ThreadCluster::new(lane_cfg(4, true, true)).expect("threads cluster");
-        let mut topo = LogicalTopology::new();
-        topo.node(Value::str("hub"), DaemonId(0));
-        for i in 0..spokes {
-            topo.node(Value::str(format!("s{i}")), DaemonId(1));
-            topo.link(
-                Value::str("hub"),
-                Value::str(format!("s{i}")),
-                Value::str("out"),
-                Dir::Forward,
-            );
-        }
-        cluster.build(&topo).expect("build star");
-        let pid = cluster.register_program(&msgr_lang::compile(SCATTER).expect("compile"));
-        for _ in 0..scatters {
-            cluster.inject_at(&Value::str("hub"), pid, &[]).expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "scatter faults: {:?}", rep.faults);
-        let mut seen = 0i64;
-        for i in 0..spokes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("s{i}")), "seen")
-            {
-                seen += v;
-            }
-        }
-        assert_eq!(seen, (scatters * spokes) as i64, "scatter deliveries wrong");
-        assert!(
-            rep.stats.counter("batch_frames") >= (scatters * 2) as u64,
-            "scatter fan-out never batched: {} frames",
-            rep.stats.counter("batch_frames")
-        );
-        rep
-    };
-    let sc = scatter_run();
-    let scatter_row = format!(
-        concat!(
-            "    {{\"platform\": \"threads\", \"workload\": \"scatter\", ",
-            "\"config\": \"lanes4_batch_move\", \"lanes\": 4, \"batch\": true, ",
-            "\"local_move\": true, \"wall_seconds\": {:.6}, \"messengers_per_sec\": {:.1}, ",
-            "\"hops_per_sec\": {:.1}, \"hops\": {}, \"retired\": {}, \"migration_bytes\": {}, ",
-            "\"lane_steals\": {}, \"batch_flushes\": {}, \"batch_frames\": {}, ",
-            "\"batch_bytes_saved\": {}}}"
-        ),
-        sc.wall_seconds,
-        sc.stats.counter("terminated") as f64 / sc.wall_seconds.max(1e-9),
-        sc.stats.counter("hops") as f64 / sc.wall_seconds.max(1e-9),
-        sc.stats.counter("hops"),
-        sc.stats.counter("terminated"),
-        sc.stats.counter("migration_bytes"),
-        sc.stats.counter("lane_steals"),
-        sc.stats.counter("batch_flushes"),
-        sc.stats.counter("batch_frames"),
-        sc.stats.counter("batch_bytes_saved"),
-    );
+    let move_rate = move_stats.counter("terminated") as f64 / move_wall.max(1e-9);
+    let speedup = move_rate / base_rate.max(1e-9);
 
     // Sim row: the same ring under 5% loss, reliable transport — the
-    // delivery-latency quantiles the trajectory tracks.
+    // delivery-latency quantiles.
     let sim_row = {
         let (sim_nodes, sim_walkers, sim_passes) =
             if smoke { (8usize, 4usize, 10i64) } else { (16, 8, 30) };
-        let mut cfg = lane_cfg(4, true, false);
+        let mut cfg = move_cfg(false);
         cfg.faults = FaultPlan::lossy(0.05);
         let mut cluster = msgr_core::SimCluster::new(cfg);
         cluster.build(&ring_topo(sim_nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(LANE_WALK).expect("compile"));
+        let pid = cluster.register_program(&msgr_lang::compile(MOVE_WALK).expect("compile"));
         for m in 0..sim_walkers {
             cluster
                 .inject_at(
@@ -1018,9 +928,9 @@ pub fn ablation_lanes(smoke: bool) -> String {
         format!(
             concat!(
                 "    {{\"platform\": \"sim\", \"workload\": \"lossy_ring\", ",
-                "\"config\": \"lanes4_batch\", \"lanes\": 4, \"batch\": true, ",
-                "\"local_move\": false, \"loss\": 0.05, \"sim_seconds\": {:.6}, ",
-                "\"hops\": {}, \"retired\": {}, \"xport_retransmits\": {}, {}}}"
+                "\"config\": \"default\", \"local_move\": false, \"loss\": 0.05, ",
+                "\"sim_seconds\": {:.6}, \"hops\": {}, \"retired\": {}, ",
+                "\"xport_retransmits\": {}, {}}}"
             ),
             rep.sim_seconds,
             rep.stats.counter("hops"),
@@ -1030,15 +940,15 @@ pub fn ablation_lanes(smoke: bool) -> String {
         )
     };
 
-    let base_row = ring_row("baseline", 1, false, false, base_wall, &base_stats);
-    let opt_row = ring_row("lanes4_batch_move", 4, true, true, opt_wall, &opt_stats);
+    let base_row = ring_row("baseline", false, base_wall, &base_stats);
+    let move_row = ring_row("local_move", true, move_wall, &move_stats);
     format!(
         concat!(
-            "{{\n  \"bench\": \"BENCH_0006\",\n  \"ablation\": \"lanes\",\n",
+            "{{\n  \"bench\": \"BENCH_0006\",\n  \"ablation\": \"move\",\n",
             "  \"mode\": \"{}\",\n",
             "  \"workload\": \"ring {} nodes x {} walkers x {} hops (payload {} B), ",
-            "scatter {}x{}, {} daemons\",\n",
-            "  \"rows\": [\n{},\n{},\n{},\n{}\n  ],\n",
+            "{} daemons\",\n",
+            "  \"rows\": [\n{},\n{},\n{}\n  ],\n",
             "  \"speedup_messengers_per_sec\": {:.3}\n}}"
         ),
         if smoke { "smoke" } else { "full" },
@@ -1046,18 +956,15 @@ pub fn ablation_lanes(smoke: bool) -> String {
         walkers,
         passes,
         payload_len,
-        scatters,
-        spokes,
         daemons,
         base_row,
-        opt_row,
-        scatter_row,
+        move_row,
         sim_row,
         speedup,
     )
 }
 
-/// Schema check for a `BENCH_0006.json` produced by [`ablation_lanes`]:
+/// Schema check for a `BENCH_0006.json` produced by [`ablation_move`]:
 /// required top-level and per-row keys present, every counter
 /// non-negative and parseable, and — for a `"mode": "full"` file — the
 /// recorded threads speedup at least 1.5×.
@@ -1096,16 +1003,7 @@ pub fn validate_bench_0006(json: &str) -> Result<(), String> {
         number_after(json, key, 0)?;
     }
     // Counters: every occurrence parses and is non-negative.
-    for key in [
-        "hops",
-        "retired",
-        "migration_bytes",
-        "lane_steals",
-        "batch_flushes",
-        "batch_frames",
-        "batch_bytes_saved",
-        "xport_retransmits",
-    ] {
+    for key in ["hops", "retired", "migration_bytes", "xport_retransmits"] {
         let pat = format!("\"{key}\":");
         let mut from = 0usize;
         let mut seen = false;
@@ -1844,10 +1742,10 @@ pub fn text_codesize() -> Table {
 /// * **Additivity**: the profiled trace is the unprofiled trace plus
 ///   only `phase_ledger`/`pc_sample` events (`profile_adds_only`).
 /// * **Cheapness**: wall-clock overhead of profiling stays under 5%.
-///   Each cell's overhead is the minimum ratio over N paired adjacent
-///   off/on runs (both halves of a pair share the host's frequency and
-///   cache state, so drift cancels; noise is additive-positive, so the
-///   cleanest pair is the best estimate). The enforced bound is
+///   Each cell's overhead is the median on/off ratio over N paired
+///   adjacent runs (both halves of a pair share the host's frequency
+///   and cache state, so drift cancels; pairs alternate which half runs
+///   first, so a first-run bias cancels too). The enforced bound is
 ///   `overhead_frac_interp_max` — the interpreter cells, whose runs are
 ///   an order of magnitude longer than the compiled ones, are where the
 ///   ratio's denominator towers over scheduler jitter; the
@@ -1967,8 +1865,10 @@ pub fn ablation_profile(smoke: bool) -> String {
             // Overhead is measured on *paired* adjacent off/on runs —
             // both halves of a pair share the host's thermal/frequency
             // state, so drift across the bench cancels out of the ratio.
-            // The cell's overhead is the median of the per-pair ratios
-            // (a lone noisy pair cannot move the median). One untimed
+            // Pairs alternate which half runs first, so a bias toward
+            // the first (or second) run of a pair cancels too. The
+            // cell's overhead is the median of the per-pair ratios (a
+            // lone noisy pair cannot move the median). One untimed
             // warmup run absorbs cold caches and lazy page faults.
             run_sim(script, exec, false);
             let mut ratios = Vec::new();
@@ -1979,14 +1879,17 @@ pub fn ablation_profile(smoke: bool) -> String {
             let mut on_reports: Vec<String> = Vec::new();
             let mut profile = Profile::default();
             for r in 0..repeats {
-                let (rep, off_w, h) = run_sim(script, exec, false);
-                off_digest = h;
+                let off_first = r % 2 == 0;
+                let first = run_sim(script, exec, !off_first);
+                let second = run_sim(script, exec, off_first);
+                let ((off, off_w, off_h), (rep, on_w, on_h)) =
+                    if off_first { (first, second) } else { (second, first) };
+                off_digest = off_h;
+                on_digest = on_h;
                 if r == 0 {
-                    off_trace = rep.trace.as_ref().expect("trace on").to_jsonl();
+                    off_trace = off.trace.as_ref().expect("trace on").to_jsonl();
                 }
-                let (rep, on_w, h) = run_sim(script, exec, true);
                 ratios.push(on_w / off_w.max(1e-9));
-                on_digest = h;
                 if r < 2 {
                     let t = rep.trace.as_ref().expect("trace on");
                     on_traces.push(t.to_jsonl());
@@ -1996,14 +1899,8 @@ pub fn ablation_profile(smoke: bool) -> String {
                     }
                 }
             }
-            // The cell's overhead is the *cleanest pair observed* (the
-            // minimum ratio): host noise is additive and positive, so
-            // every pair overestimates and the minimum is the best
-            // estimate of the true ratio. A real instrumentation
-            // regression — say a per-op event emission — inflates every
-            // pair and still trips the bound.
             ratios.sort_by(f64::total_cmp);
-            let overhead = ratios[0] - 1.0;
+            let overhead = ratios[ratios.len() / 2] - 1.0;
             state_identical &= off_digest == on_digest;
             report_deterministic &= on_traces[0] == on_traces[1] && on_reports[0] == on_reports[1];
             // The profiled trace minus the profiler's own events must

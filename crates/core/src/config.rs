@@ -232,43 +232,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// Frame-batching budget: how many payload frames headed for the same
-/// peer one effect flush may coalesce into a single [`crate::wire::Wire::Batch`]
-/// envelope. Batching is off by default (`max_frames == 0`) so the
-/// pre-batching wire timings stay bit-identical; benches and chaos
-/// suites opt in explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum frames per batch. `0` or `1` disables coalescing.
-    pub max_frames: usize,
-    /// Maximum summed payload wire bytes per batch; a frame that would
-    /// push a batch past this budget starts a new batch.
-    pub max_bytes: u64,
-}
-
-impl BatchPolicy {
-    /// Batching disabled: every frame travels in its own envelope.
-    pub fn off() -> Self {
-        BatchPolicy { max_frames: 0, max_bytes: 0 }
-    }
-
-    /// The default opt-in budget used by benches and chaos suites.
-    pub fn on() -> Self {
-        BatchPolicy { max_frames: 16, max_bytes: 16 * 1024 }
-    }
-
-    /// `true` iff this policy can ever coalesce two frames.
-    pub fn enabled(&self) -> bool {
-        self.max_frames >= 2
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::off()
-    }
-}
-
 /// Whether the GVT service runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VtService {
@@ -325,13 +288,6 @@ pub struct ClusterConfig {
     /// daemon records typed [`msgr_trace::TraceEvent`]s into a bounded
     /// ring that the platform merges into the run report.
     pub trace: msgr_trace::TraceConfig,
-    /// Execution lanes per daemon: logical nodes are sharded across this
-    /// many run queues by a pure hash of `(gid, seed)`. Dispatch across
-    /// lanes is by global arrival order, so lane count never changes the
-    /// execution order on `sim` — see DESIGN.md §9. Default 1.
-    pub lanes: usize,
-    /// Frame-batching budget (off by default).
-    pub batch: BatchPolicy,
     /// Execution engine ([`ExecMode::Interp`] unless overridden via the
     /// `MSGR_EXEC` environment variable or `msgr run --exec`).
     pub exec: ExecMode,
@@ -345,10 +301,9 @@ pub struct ClusterConfig {
     /// (`0`/`off` disables).
     pub analysis: bool,
     /// Hand messenger state over by move on same-daemon hops instead of
-    /// encode/decode through the platform loopback. Off by default: the
-    /// sim's uniform cost accounting and the reliable transport both
-    /// want every hop on the wire path. The threads platform and the
-    /// lane bench opt in.
+    /// encode/decode through the platform loopback. Off on both
+    /// platforms unless set: the sim's uniform cost accounting and the
+    /// reliable transport both want every hop on the wire path.
     pub local_move: bool,
     /// How a victim's heir is chosen when a permanent kill is detected:
     /// by majority decree ([`Succession::Quorum`], the default) or by
@@ -398,8 +353,6 @@ impl ClusterConfig {
             recovery: RecoveryPolicy::from_env(),
             checkpoint_dir: None,
             trace: msgr_trace::TraceConfig::default(),
-            lanes: 1,
-            batch: BatchPolicy::off(),
             exec: std::env::var("MSGR_EXEC")
                 .ok()
                 .and_then(|s| ExecMode::parse(&s))
@@ -422,20 +375,9 @@ impl ClusterConfig {
         }
     }
 
-    /// The number of execution lanes, clamped to at least one.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.max(1)
-    }
-
     /// The checkpoint replication factor, clamped to at least one.
     pub fn replica_count(&self) -> usize {
         self.replication.max(1)
-    }
-
-    /// `true` iff outgoing payload frames may be coalesced into
-    /// [`crate::wire::Wire::Batch`] envelopes.
-    pub fn batching(&self) -> bool {
-        self.batch.enabled()
     }
 
     /// `true` iff daemons must run the reliable ack/retransmit transport
@@ -469,8 +411,6 @@ mod tests {
         assert!(c.faults.is_none(), "faults must default to none");
         assert!(!c.reliable(), "transport must default to off");
         assert!(!c.trace.enabled, "tracing must default to off");
-        assert_eq!(c.lane_count(), 1, "lanes must default to 1");
-        assert!(!c.batching(), "batching must default to off");
         assert!(!c.local_move, "move-hops must default to off");
         if std::env::var("MSGR_EXEC").is_err() {
             assert_eq!(c.exec, ExecMode::Interp, "execution must default to interp");
@@ -487,16 +427,6 @@ mod tests {
             assert!(!c.profile, "profiling must default to off");
         }
         assert!(c.profile_interval > 0, "sampling interval must be positive");
-    }
-
-    #[test]
-    fn batch_policy_thresholds() {
-        assert!(!BatchPolicy::off().enabled());
-        assert!(!BatchPolicy { max_frames: 1, max_bytes: 1024 }.enabled());
-        assert!(BatchPolicy::on().enabled());
-        let mut c = ClusterConfig::new(2);
-        c.lanes = 0;
-        assert_eq!(c.lane_count(), 1, "lanes=0 is treated as 1");
     }
 
     #[test]

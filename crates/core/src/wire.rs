@@ -130,16 +130,6 @@ pub enum Wire {
         /// Its current membership epoch.
         epoch: u64,
     },
-    /// A coalesced flush: several payload frames bound for the same peer
-    /// travel under one physical header. Built by the daemon's effect
-    /// coalescer when [`crate::BatchPolicy`] allows; the receiver unpacks
-    /// and processes the inner frames in order. A batch never contains
-    /// `Data`, `Ack`, or another `Batch` (the codec rejects all three),
-    /// but a whole batch may itself be enveloped in one `Data` frame —
-    /// the reliable transport then acks and retransmits the flush as a
-    /// unit, so exactly-once delivery of every inner frame follows from
-    /// exactly-once delivery of the envelope.
-    Batch(Vec<Wire>),
     /// Membership change: `victim` has been declared permanently dead and
     /// its logical nodes re-homed to its successor. Broadcast by the
     /// successor (reliably — eviction must not be lost) after it restores
@@ -225,11 +215,9 @@ impl Wire {
                 Wire::Create(_) => "data:create",
                 Wire::Unlink { .. } => "data:unlink",
                 Wire::Gvt(_) => "data:gvt",
-                Wire::Batch(_) => "data:batch",
                 _ => "data",
             },
             Wire::Ack { .. } => "ack",
-            Wire::Batch(_) => "batch",
             Wire::Beat { .. } => "beat",
             Wire::Evict { .. } => "evict",
             Wire::Ctrl { .. } => "ctrl",
@@ -254,9 +242,6 @@ impl Wire {
             // only src + chan + seq are extra bytes.
             Wire::Data { frame, .. } => frame.wire_bytes(header) + 14,
             Wire::Ack { .. } => header + 22,
-            // One shared physical header for the whole flush; each inner
-            // frame pays only 4 bytes of framing instead of `header`.
-            Wire::Batch(frames) => header + 2 + frames.iter().map(|f| f.wire_bytes(4)).sum::<u64>(),
             Wire::Beat { .. } => header + 10,
             Wire::Evict { .. } => header + 18,
             Wire::Ctrl { msg, .. } => {
@@ -547,13 +532,6 @@ fn put_frame(buf: &mut BytesMut, w: &Wire) {
             put_varint(buf, *epoch);
             put_vt(buf, *floor);
         }
-        Wire::Batch(frames) => {
-            buf.put_u8(9);
-            put_varint(buf, frames.len() as u64);
-            for f in frames {
-                put_frame(buf, f);
-            }
-        }
         Wire::Ctrl { from, msg } => {
             buf.put_u8(10);
             put_varint(buf, from.0 as u64);
@@ -582,16 +560,13 @@ fn put_frame(buf: &mut BytesMut, w: &Wire) {
 }
 
 /// Where in the frame tree the decoder currently sits — transport frames
-/// nest one level at most: `Data(Batch(payload*))` is the deepest legal
-/// shape.
+/// nest one level at most: `Data(payload)` is the deepest legal shape.
 #[derive(Clone, Copy, PartialEq)]
 enum Ctx {
     /// Top-level frame: anything goes.
     Top,
     /// Inside a `Data` envelope: no `Data`, no `Ack`.
     InData,
-    /// Inside a `Batch`: no `Data`, no `Ack`, no `Batch`.
-    InBatch,
 }
 
 fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
@@ -655,20 +630,6 @@ fn get_frame(buf: &mut Bytes, ctx: Ctx) -> Result<Wire, VmError> {
             let floor = get_vt(buf)?;
             Wire::Evict { victim, epoch, floor }
         }
-        9 => {
-            if ctx == Ctx::InBatch {
-                return Err(err("batch inside batch"));
-            }
-            let n = get_varint(buf)? as usize;
-            if n < 2 {
-                return Err(err("batch of fewer than two frames"));
-            }
-            let mut frames = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                frames.push(get_frame(buf, Ctx::InBatch)?);
-            }
-            Wire::Batch(frames)
-        }
         10 => {
             let from = DaemonId(get_u16_varint(buf, "ctrl origin")?);
             let msg = get_ctrl_payload(buf, "ctrl", msgr_ctrl::codec::get_paxos)?;
@@ -716,8 +677,8 @@ pub fn encode_frame(w: &Wire) -> Bytes {
 /// # Errors
 ///
 /// [`VmError::Decode`] on any malformed input, including trailing bytes,
-/// transport frames nested inside a [`Wire::Data`] envelope, and
-/// `Data`/`Ack`/`Batch` frames inside a [`Wire::Batch`].
+/// unknown frame tags, and transport frames nested inside a
+/// [`Wire::Data`] envelope.
 pub fn decode_frame(mut buf: Bytes) -> Result<Wire, VmError> {
     let w = get_frame(&mut buf, Ctx::Top)?;
     if buf.has_remaining() {
@@ -842,20 +803,6 @@ mod tests {
             Wire::Beat { from: DaemonId(4), epoch: 2 },
             Wire::Evict { victim: DaemonId(1), epoch: 3, floor: Vt::new(7.5) },
             Wire::Evict { victim: DaemonId(6), epoch: 1, floor: Vt::INFINITY },
-            Wire::Batch(vec![
-                Wire::Migrate(mig(16, 0)),
-                Wire::Unlink { node: NodeRef::new(1, 2), inst: LinkInstance(3) },
-                Wire::Gvt(CtrlMsg::Cut { round: 1 }),
-            ]),
-            Wire::Data {
-                src: DaemonId(2),
-                chan: DaemonId(3),
-                seq: 7,
-                frame: Box::new(Wire::Batch(vec![
-                    Wire::Migrate(mig(8, 0)),
-                    Wire::Migrate(mig(9, 0)),
-                ])),
-            },
             Wire::Ctrl {
                 from: DaemonId(1),
                 msg: msgr_ctrl::PaxosMsg::Prepare {
@@ -941,46 +888,6 @@ mod tests {
             frame: Box::new(Wire::Ack { src: DaemonId(0), chan: DaemonId(1), cum: 0, seq: 0 }),
         };
         assert!(decode_frame(encode_frame(&ack_in_data)).is_err(), "Ack in Data must not decode");
-    }
-
-    #[test]
-    fn batch_shares_one_header() {
-        let a = Wire::Migrate(mig(100, 0));
-        let b = Wire::Unlink { node: NodeRef::new(0, 0), inst: LinkInstance(1) };
-        let batch = Wire::Batch(vec![a.clone(), b.clone()]);
-        let separate = a.wire_bytes(64) + b.wire_bytes(64);
-        assert!(batch.wire_bytes(64) < separate, "a batch must save header bytes");
-        assert_eq!(batch.kind(), "batch");
-        let data =
-            Wire::Data { src: DaemonId(0), chan: DaemonId(1), seq: 1, frame: Box::new(batch) };
-        assert_eq!(data.kind(), "data:batch");
-    }
-
-    #[test]
-    fn batch_nesting_rejected() {
-        let leaf = Wire::Migrate(mig(1, 0));
-        for bad in [
-            Wire::Batch(vec![leaf.clone(), Wire::Batch(vec![leaf.clone(), leaf.clone()])]),
-            Wire::Batch(vec![
-                leaf.clone(),
-                Wire::Data {
-                    src: DaemonId(0),
-                    chan: DaemonId(1),
-                    seq: 1,
-                    frame: Box::new(leaf.clone()),
-                },
-            ]),
-            Wire::Batch(vec![
-                leaf.clone(),
-                Wire::Ack { src: DaemonId(0), chan: DaemonId(1), cum: 0, seq: 0 },
-            ]),
-        ] {
-            assert!(decode_frame(encode_frame(&bad)).is_err(), "{bad:?} must not decode");
-        }
-        // Undersized batches are malformed too: the coalescer never emits
-        // a batch that saves nothing.
-        let single = Wire::Batch(vec![leaf.clone()]);
-        assert!(decode_frame(encode_frame(&single)).is_err(), "1-frame batch must not decode");
     }
 
     #[test]

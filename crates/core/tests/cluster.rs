@@ -815,3 +815,112 @@ fn delete_from_hub_does_not_strand_the_traveler() {
     assert_eq!(report.stats.counter("dead_letters"), 0, "traveler must not be lost");
     assert_eq!(c.node_var_by_name(&Value::str("island"), "landed"), Some(Value::Int(1)));
 }
+
+// ---- local moves ----------------------------------------------------------
+
+const RING_WALK: &str = r#"
+walk(passes) {
+    int i = 0;
+    node int visits;
+    visits = visits + 1;
+    while (i < passes) {
+        hop(ll = "ring"; ldir = +);
+        visits = visits + 1;
+        i = i + 1;
+    }
+}
+"#;
+
+/// A ring of `nodes` placed in contiguous per-daemon blocks, so most
+/// hops stay on one daemon.
+fn block_ring(nodes: usize, daemons: usize) -> LogicalTopology {
+    let block = nodes.div_ceil(daemons);
+    let mut topo = LogicalTopology::new();
+    for i in 0..nodes {
+        topo.node(Value::str(format!("p{i}")), msgr_core::DaemonId((i / block) as u16));
+    }
+    for i in 0..nodes {
+        topo.link(
+            Value::str(format!("p{i}")),
+            Value::str(format!("p{}", (i + 1) % nodes)),
+            Value::str("ring"),
+            msgr_vm::Dir::Forward,
+        );
+    }
+    topo
+}
+
+/// Build the block ring on `$cluster`, inject `$walkers` walkers of
+/// `$passes` hops, run it, and return every node's `visits`, the
+/// `terminated` and `migration_bytes` counters, and the faults.
+macro_rules! walk_block_ring {
+    ($cluster:expr, $nodes:expr, $daemons:expr, $walkers:expr, $passes:expr) => {{
+        let mut c = $cluster;
+        c.build(&block_ring($nodes, $daemons)).unwrap();
+        let pid = c.register_program(&compile(RING_WALK).unwrap());
+        for m in 0..$walkers {
+            c.inject_at(&Value::str(format!("p{}", m % $nodes)), pid, &[Value::Int($passes)])
+                .unwrap();
+        }
+        let report = c.run().unwrap();
+        let visits: Vec<Option<Value>> = (0..$nodes)
+            .map(|i| c.node_var_by_name(&Value::str(format!("p{i}")), "visits"))
+            .collect();
+        (
+            visits,
+            report.stats.counter("terminated"),
+            report.stats.counter("migration_bytes"),
+            report.faults.clone(),
+        )
+    }};
+}
+
+#[test]
+fn local_move_keeps_results_and_cuts_migration_bytes() {
+    let (nodes, daemons, walkers, passes) = (16usize, 4usize, 8usize, 24i64);
+    let cfg = |local_move: bool| {
+        let mut cfg = ClusterConfig::new(daemons);
+        cfg.seed = 42;
+        cfg.local_move = local_move;
+        cfg
+    };
+    let sim = |m: bool| walk_block_ring!(SimCluster::new(cfg(m)), nodes, daemons, walkers, passes);
+    let threads = |m: bool| {
+        walk_block_ring!(ThreadCluster::new(cfg(m)).unwrap(), nodes, daemons, walkers, passes)
+    };
+    for (platform, off, on) in
+        [("sim", sim(false), sim(true)), ("threads", threads(false), threads(true))]
+    {
+        let (off_visits, off_done, off_bytes, off_faults) = off;
+        let (on_visits, on_done, on_bytes, on_faults) = on;
+        assert!(off_faults.is_empty() && on_faults.is_empty(), "{platform}: faults");
+        let total: i64 =
+            off_visits.iter().map(|v| if let Some(Value::Int(n)) = v { *n } else { 0 }).sum();
+        assert_eq!(total, walkers as i64 * (passes + 1), "{platform}: visits lost");
+        assert_eq!(off_visits, on_visits, "{platform}: visits differ with local_move");
+        assert_eq!(off_done, walkers as u64, "{platform}: walkers lost");
+        assert_eq!(off_done, on_done, "{platform}: terminated differs with local_move");
+        assert!(
+            on_bytes < off_bytes,
+            "{platform}: local_move must cut migration bytes ({on_bytes} vs {off_bytes})"
+        );
+    }
+}
+
+/// Local-move soak: a large threaded ring walk with `local_move` on,
+/// checking the full delivery count. Ignored by default; run via
+/// `scripts/ci.sh --soak` (or `cargo test -- --ignored`).
+#[test]
+#[ignore = "soak: long threaded run, exercised by scripts/ci.sh --soak"]
+fn soak_local_move_threads() {
+    let (nodes, daemons, walkers, passes) = (64usize, 4usize, 128usize, 400i64);
+    let mut cfg = ClusterConfig::new(daemons);
+    cfg.seed = 0xBA7C4;
+    cfg.local_move = true;
+    let (visits, done, _, faults) =
+        walk_block_ring!(ThreadCluster::new(cfg).unwrap(), nodes, daemons, walkers, passes);
+    assert!(faults.is_empty(), "faults: {faults:?}");
+    let total: i64 = visits.iter().map(|v| if let Some(Value::Int(n)) = v { *n } else { 0 }).sum();
+    assert_eq!(total, walkers as i64 * (passes + 1));
+    assert_eq!(done, walkers as u64);
+}

@@ -129,11 +129,6 @@ metrics! {
     CkptReplicas = "ckpt_replicas": Counter, Count;
     CkptReplicaBytes = "ckpt_replica_bytes": Counter, Bytes;
     CkptReplicaAcks = "ckpt_replica_acks": Counter, Count;
-    // ---- execution lanes + frame batching ----
-    LaneSteals = "lane_steals": Counter, Count;
-    BatchFrames = "batch_frames": Counter, Count;
-    BatchFlushes = "batch_flushes": Counter, Count;
-    BatchBytesSaved = "batch_bytes_saved": Counter, Bytes;
     // ---- compiled execution (code registry) ----
     CompilePrograms = "compile_programs": Counter, Count;
     CompileSuperinsts = "compile_superinsts": Counter, Count;
@@ -224,8 +219,8 @@ mod tests {
         let s: &'static str = Metric::Hops.into();
         assert_eq!(s, "hops");
         assert_eq!(Metric::Hops.to_string(), "hops");
-        assert_eq!(Metric::BatchBytesSaved.unit(), Unit::Bytes);
-        assert_eq!(Metric::LaneSteals.kind(), MetricKind::Counter);
-        assert_eq!(Metric::from_name("batch_flushes"), Some(Metric::BatchFlushes));
+        assert_eq!(Metric::CkptReplicaBytes.unit(), Unit::Bytes);
+        assert_eq!(Metric::CkptReplicas.kind(), MetricKind::Counter);
+        assert_eq!(Metric::from_name("ckpt_replicas"), Some(Metric::CkptReplicas));
     }
 }
