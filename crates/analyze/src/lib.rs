@@ -156,15 +156,16 @@ impl Report {
 
 /// Verify a program: errors only, no lints.
 ///
-/// Passing verification is the precondition the closure compiler
+/// Passing verification is the precondition the overlay compiler
 /// (`msgr_vm::compile`) assumes: a verified program has an in-range
 /// entry function, structurally sane call targets, and jump offsets
 /// that stay inside their function — which is what lets the compiler
 /// precompute jump targets and fuse straight-line spans. The contract
 /// is directional, not iff: `verify(p).is_ok()` ⇒ `compile(p).is_ok()`
 /// (asserted by `verified_programs_always_compile` in this crate's
-/// property tests), while unverifiable programs may still compile into
-/// closures that fault at run time exactly like the interpreter.
+/// property tests), while unverifiable programs may still compile; the
+/// ops the compiler cannot fuse run through the interpreter step and
+/// fault exactly like the interpreter.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Ablation: closure-compiled execution vs the interpreter
+//! Ablation: the compiled overlay vs the bare interpreter
 //! (BENCH_0007), and summary-guided compilation vs plain compilation
 //! (BENCH_0008, via `--summaries`). Emits JSON on stdout; `--smoke`
 //! runs a scaled-down version for CI, `--check <path>`

@@ -1032,7 +1032,7 @@ pub fn validate_bench_0006(json: &str) -> Result<(), String> {
 
 // The Douady-rabbit parameter keeps the orbit bounded, so the floats
 // stay finite and every iteration does real arithmetic. Shared by
-// BENCH_0007 (compiled vs interp) and BENCH_0008 (summaries on vs off):
+// BENCH_0007 (overlay vs interpreter) and BENCH_0008 (summaries on vs off):
 // both inner loops are call-free, counted, and Add/Sub/Mul-only, so the
 // interprocedural analysis licenses the typed-loop fusion on them.
 const MANDEL_LOOP: &str = r#"
@@ -1091,11 +1091,11 @@ const MATMUL_LOOP: &str = r#"
     }
     "#;
 
-/// BENCH_0007 — closure-compiled execution vs the interpreter.
+/// BENCH_0007 — the compiled overlay vs the bare interpreter.
 ///
-/// Two ring-walker workloads on the threads platform whose per-hop
-/// segment is a tight arithmetic inner loop written in MSGR-C — the
-/// shapes the closure compiler's superinstructions target:
+/// Two ring-walker workloads whose per-hop segment is a tight arithmetic
+/// inner loop written in MSGR-C — the shapes the overlay's
+/// superinstructions target:
 ///
 /// * **mandel_loop**: the Mandelbrot escape iteration (`z = z² + c` on
 ///   a bounded orbit) — float mul/add chains through locals, a
@@ -1103,142 +1103,69 @@ const MATMUL_LOOP: &str = r#"
 /// * **matmul_loop**: a dot-product accumulation (`sum += a·b` with
 ///   strided updates) — the matmul block kernel's inner shape.
 ///
-/// Each workload runs under `ExecMode::Interp` and `ExecMode::Compiled`
-/// with identical seed and topology. Before any timing is reported the
-/// same program is run on the *sim* platform under both engines and the
-/// node-variable state (every `field`/`visits` value, bit for bit) plus
-/// the simulated clock must match exactly — the bench refuses to time
-/// engines that disagree. Wall-clock rows then come from best-of-N
-/// threads runs, each verified by its exact visit count.
+/// Daemons always run `compile::run`, so the comparison is made in
+/// process, on one thread: every walker runs its segments back to back
+/// against one [`msgr_vm::MapEnv`] node (each `hop` yield resumes the
+/// same state, as an arrival would), once through `interp::run` and
+/// once through `compile::run` with the plain overlay (no effect
+/// summaries — BENCH_0008 measures those). Before any timing is
+/// reported the two engines must agree on every yield, every messenger
+/// state after every segment, the ops charge, and the final node
+/// variables bit for bit — the bench refuses to time engines that
+/// disagree. Timed passes alternate which engine goes first; each row
+/// is the engine's best pass.
 ///
-/// The artifact records the interpreter baseline and the compiled rows
-/// side by side; the headline `speedup_min_hops_per_sec` is the *worst*
+/// The headline `speedup_min_hops_per_sec` is the *worst*
 /// compiled/interp hops-per-sec ratio across the workloads and must
-/// reach ≥3× in full mode (the PR's acceptance bar).
+/// reach ≥3× in full mode.
 ///
 /// # Panics
 ///
-/// Panics if any run fails, any verification count is off, or the two
-/// engines produce different sim-platform state.
+/// Panics if any run fails, the hop count is off, or the two engines
+/// disagree.
 pub fn ablation_compile(smoke: bool) -> String {
-    use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, ThreadCluster};
-    use msgr_vm::{Dir, Value};
+    use msgr_vm::{compile, interp, MapEnv, MessengerId, MessengerState, Program, Value, Yield};
 
-    let daemons = 4usize;
-    let (nodes, walkers, passes, iters) =
-        if smoke { (8usize, 8usize, 6i64, 64i64) } else { (16, 32, 64, 1024) };
+    let (walkers, passes, iters) = if smoke { (8usize, 6i64, 64i64) } else { (32, 64, 1024) };
     let repeats = if smoke { 1 } else { 3 };
 
-    let ring_topo = |nodes: usize| {
-        let block = nodes.div_ceil(daemons);
-        let mut topo = LogicalTopology::new();
-        for i in 0..nodes {
-            topo.node(Value::str(format!("p{i}")), DaemonId((i / block) as u16));
-        }
-        for i in 0..nodes {
-            topo.link(
-                Value::str(format!("p{i}")),
-                Value::str(format!("p{}", (i + 1) % nodes)),
-                Value::str("ring"),
-                Dir::Forward,
-            );
-        }
-        topo
-    };
-    let cfg_for = |exec: ExecMode| {
-        let mut cfg = ClusterConfig::new(daemons);
-        cfg.seed = 42;
-        cfg.exec = exec;
-        cfg
-    };
-    let fnv = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
-
-    // Deterministic cross-engine gate: run the workload on the sim
-    // platform under `exec` and digest every node variable bit plus the
-    // simulated clock. Interp and Compiled must produce the same u64.
-    let sim_digest = |script: &str, exec: ExecMode| -> u64 {
-        let (d_nodes, d_walkers, d_passes, d_iters) = (8usize, 4usize, 4i64, iters.min(128));
-        let mut cluster = SimCluster::new(cfg_for(exec));
-        cluster.build(&ring_topo(d_nodes)).expect("build sim ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..d_walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % d_nodes)),
-                    pid,
-                    &[Value::Int(d_passes), Value::Int(d_iters)],
-                )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("sim run");
-        assert!(rep.faults.is_empty(), "sim faults: {:?}", rep.faults);
-        let mut h: u64 = 0xcbf29ce484222325;
-        fnv(&mut h, &rep.sim_seconds.to_bits().to_le_bytes());
-        for i in 0..d_nodes {
-            for var in ["field", "cell", "visits"] {
-                match cluster.node_var_by_name(&Value::str(format!("p{i}")), var) {
-                    Some(Value::Float(f)) => fnv(&mut h, &f.to_bits().to_le_bytes()),
-                    Some(Value::Int(v)) => fnv(&mut h, &v.to_le_bytes()),
-                    _ => fnv(&mut h, &[0xFF]),
-                }
-            }
-        }
-        h
-    };
-
-    // One verified threads run; returns (wall seconds, merged stats).
-    let run_threads = |script: &str, exec: ExecMode| {
-        let mut cluster = ThreadCluster::new(cfg_for(exec)).expect("threads cluster");
-        cluster.build(&ring_topo(nodes)).expect("build ring");
-        let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
-        for m in 0..walkers {
-            cluster
-                .inject_at(
-                    &Value::str(format!("p{}", m % nodes)),
-                    pid,
+    // Run every walker to termination through `exec`; the messenger
+    // state after each segment goes to `seen`. Returns the node.
+    type Exec<'a> =
+        dyn Fn(&mut MessengerState, &mut MapEnv) -> Result<Yield, msgr_vm::VmError> + 'a;
+    let walk =
+        |program: &Program, exec: &Exec<'_>, seen: &mut dyn FnMut(&Yield, &MessengerState)| {
+            let mut env = MapEnv::new();
+            let mut hops = 0u64;
+            for w in 0..walkers {
+                let mut m = MessengerState::launch(
+                    program,
+                    MessengerId(w as u64),
                     &[Value::Int(passes), Value::Int(iters)],
                 )
-                .expect("inject");
-        }
-        let rep = cluster.run().expect("threads run");
-        assert!(rep.faults.is_empty(), "ring faults: {:?}", rep.faults);
-        let mut visits = 0i64;
-        for i in 0..nodes {
-            if let Some(Value::Int(v)) =
-                cluster.node_var_by_name(&Value::str(format!("p{i}")), "visits")
-            {
-                visits += v;
+                .expect("launch");
+                loop {
+                    let y = exec(&mut m, &mut env).expect("segment");
+                    seen(&y, &m);
+                    match y {
+                        Yield::Hop(_) => hops += 1,
+                        Yield::Terminated(_) => break,
+                        other => panic!("unexpected yield {other:?}"),
+                    }
+                }
             }
-        }
-        assert_eq!(visits, walkers as i64 * (passes + 1), "visit count wrong ({exec:?})");
-        (rep.wall_seconds, rep.stats)
-    };
-    // Best-of-N to shave scheduler noise off the wall-clock rows.
-    let best_of = |script: &str, exec: ExecMode| {
-        let mut best: Option<(f64, msgr_sim::Stats)> = None;
-        for _ in 0..repeats {
-            let (w, s) = run_threads(script, exec);
-            if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-                best = Some((w, s));
-            }
-        }
-        best.expect("at least one repeat")
-    };
+            assert_eq!(hops, walkers as u64 * passes as u64, "hop count wrong");
+            env
+        };
+    let hops = walkers as u64 * passes as u64;
+    let fuel = interp::DEFAULT_FUEL;
 
-    let row = |workload: &str, engine: &str, wall: f64, stats: &msgr_sim::Stats| {
-        let hops = stats.counter("hops");
-        let ops = stats.counter("ops");
+    let row = |workload: &str, engine: &str, wall: f64, ops: u64, cp: &compile::CompiledProgram| {
         format!(
             concat!(
-                "    {{\"platform\": \"threads\", \"workload\": \"{}\", \"engine\": \"{}\", ",
+                "    {{\"platform\": \"in-process\", \"workload\": \"{}\", \"engine\": \"{}\", ",
                 "\"wall_seconds\": {:.6}, \"hops_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, ",
-                "\"hops\": {}, \"ops\": {}, \"compile_programs\": {}, ",
-                "\"compile_superinsts\": {}, \"compile_steps\": {}, \"compile_cache_hits\": {}}}"
+                "\"hops\": {}, \"ops\": {}, \"compile_superinsts\": {}, \"compile_steps\": {}}}"
             ),
             workload,
             engine,
@@ -1247,28 +1174,71 @@ pub fn ablation_compile(smoke: bool) -> String {
             ops as f64 / wall.max(1e-9),
             hops,
             ops,
-            stats.counter("compile_programs"),
-            stats.counter("compile_superinsts"),
-            stats.counter("compile_steps"),
-            stats.counter("compile_cache_hits"),
+            cp.superinstructions(),
+            cp.steps(),
         )
     };
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for (name, script) in [("mandel_loop", MANDEL_LOOP), ("matmul_loop", MATMUL_LOOP)] {
-        let di = sim_digest(script, ExecMode::Interp);
-        let dc = sim_digest(script, ExecMode::Compiled);
-        assert_eq!(di, dc, "{name}: engines disagree on sim-platform state — refusing to time");
-        let (iw, is) = best_of(script, ExecMode::Interp);
-        let (cw, cs) = best_of(script, ExecMode::Compiled);
-        assert!(cs.counter("compile_programs") > 0, "{name}: compiled run never compiled anything");
-        assert!(cs.counter("compile_superinsts") > 0, "{name}: no superinstructions formed");
-        let interp_rate = is.counter("hops") as f64 / iw.max(1e-9);
-        let compiled_rate = cs.counter("hops") as f64 / cw.max(1e-9);
-        rows.push(row(name, "interp", iw, &is));
-        rows.push(row(name, "compiled", cw, &cs));
-        speedups.push((name, compiled_rate / interp_rate.max(1e-9)));
+        let program = msgr_lang::compile(script).expect("compile");
+        let cp = compile::compile(&program).expect("overlay compiles");
+        assert!(cp.superinstructions() > 0, "{name}: no superinstructions formed");
+        let run_interp =
+            |m: &mut MessengerState, env: &mut MapEnv| interp::run(&program, m, env, fuel);
+        let run_compiled =
+            |m: &mut MessengerState, env: &mut MapEnv| compile::run(&cp, &program, m, env, fuel);
+
+        // Equality gate: the interpreter's trail of (yield, state) pairs
+        // must be reproduced exactly by the overlay.
+        let mut trail = Vec::new();
+        let ei = walk(&program, &run_interp, &mut |y, m| trail.push((y.clone(), m.clone())));
+        let mut at = 0usize;
+        let ec = walk(&program, &run_compiled, &mut |y, m| {
+            assert!(
+                trail[at] == (y.clone(), m.clone()),
+                "{name}: engines disagree at segment {at}"
+            );
+            at += 1;
+        });
+        assert_eq!(at, trail.len(), "{name}: engines ran different segment counts");
+        assert_eq!(ei.ops, ec.ops, "{name}: engines disagree on the ops charge");
+        let bits = |env: &MapEnv| -> std::collections::BTreeMap<String, u64> {
+            let bits = |v: &Value| match v {
+                Value::Float(f) => f.to_bits(),
+                Value::Int(i) => *i as u64,
+                _ => u64::MAX,
+            };
+            env.vars.iter().map(|(k, v)| (k.clone(), bits(v))).collect()
+        };
+        assert_eq!(bits(&ei), bits(&ec), "{name}: engines disagree on node variables");
+
+        let time = |exec: &Exec<'_>| {
+            let t0 = std::time::Instant::now();
+            let env = walk(&program, exec, &mut |_, _| {});
+            (t0.elapsed().as_secs_f64(), env.ops)
+        };
+        let mut best_i = (f64::INFINITY, 0);
+        let mut best_c = (f64::INFINITY, 0);
+        for r in 0..repeats {
+            let (i, c) = if r % 2 == 0 {
+                let i = time(&run_interp);
+                (i, time(&run_compiled))
+            } else {
+                let c = time(&run_compiled);
+                (time(&run_interp), c)
+            };
+            if i.0 < best_i.0 {
+                best_i = i;
+            }
+            if c.0 < best_c.0 {
+                best_c = c;
+            }
+        }
+        rows.push(row(name, "interp", best_i.0, best_i.1, &cp));
+        rows.push(row(name, "compiled", best_c.0, best_c.1, &cp));
+        speedups.push((name, best_i.0 / best_c.0.max(1e-9)));
     }
     let min_speedup = speedups.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
 
@@ -1276,19 +1246,17 @@ pub fn ablation_compile(smoke: bool) -> String {
         concat!(
             "{{\n  \"bench\": \"BENCH_0007\",\n  \"ablation\": \"compile\",\n",
             "  \"mode\": \"{}\",\n",
-            "  \"workload\": \"ring {} nodes x {} walkers x {} hops, {} inner iters/hop, ",
-            "{} daemons\",\n",
+            "  \"workload\": \"{} walkers x {} hops, {} inner iters/hop, ",
+            "in process on one thread\",\n",
             "  \"rows\": [\n{}\n  ],\n",
             "  \"speedup_mandel_hops_per_sec\": {:.3},\n",
             "  \"speedup_matmul_hops_per_sec\": {:.3},\n",
             "  \"speedup_min_hops_per_sec\": {:.3}\n}}"
         ),
         if smoke { "smoke" } else { "full" },
-        nodes,
         walkers,
         passes,
         iters,
-        daemons,
         rows.join(",\n"),
         speedups[0].1,
         speedups[1].1,
@@ -1346,14 +1314,7 @@ pub fn validate_bench_0007(json: &str) -> Result<(), String> {
         number_after(json, key, 0)?;
     }
     // Counters: every occurrence parses and is non-negative.
-    for key in [
-        "hops",
-        "ops",
-        "compile_programs",
-        "compile_superinsts",
-        "compile_steps",
-        "compile_cache_hits",
-    ] {
+    for key in ["hops", "ops", "compile_superinsts", "compile_steps"] {
         let pat = format!("\"{key}\":");
         let mut from = 0usize;
         let mut seen = false;
@@ -1391,14 +1352,14 @@ pub fn validate_bench_0007(json: &str) -> Result<(), String> {
 /// BENCH_0008 — summary-guided compilation vs plain compilation.
 ///
 /// The interprocedural-analysis ablation: the same two ring-walker
-/// workloads as BENCH_0007, both run under `ExecMode::Compiled`, with
-/// the whole-program effect analysis toggled per run
+/// workloads as BENCH_0007 on the threads platform, with the
+/// whole-program effect analysis toggled per run
 /// (`ClusterConfig::analysis`). Summaries license the typed register
 /// loop (unboxed `i64`/`f64` execution of the proven-pure counted
 /// inner loops), call fusion, and Time-Warp snapshot elision; with
-/// analysis off the engine is exactly the PR 7 compiled mode.
+/// analysis off the overlay is compiled without them.
 ///
-/// The same cross-engine gate as BENCH_0007 applies before timing: a
+/// An equality gate like BENCH_0007's applies before timing: a
 /// sim-platform run under each configuration must produce bit-identical
 /// node-variable state and simulated clock — analysis is an
 /// optimization fact table, never an observable.
@@ -1414,7 +1375,7 @@ pub fn validate_bench_0007(json: &str) -> Result<(), String> {
 /// runs never exercised the analysis (no summaries, no typed loops).
 pub fn ablation_summaries(smoke: bool) -> String {
     use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, ThreadCluster};
+    use msgr_core::{DaemonId, SimCluster, ThreadCluster};
     use msgr_vm::{Dir, Value};
 
     let daemons = 4usize;
@@ -1441,7 +1402,6 @@ pub fn ablation_summaries(smoke: bool) -> String {
     let cfg_for = |analysis: bool| {
         let mut cfg = ClusterConfig::new(daemons);
         cfg.seed = 42;
-        cfg.exec = ExecMode::Compiled;
         cfg.analysis = analysis;
         cfg
     };
@@ -1727,32 +1687,25 @@ pub fn text_codesize() -> Table {
 /// BENCH_0010 — the cost-attribution profiler itself.
 ///
 /// The observability ablation: the BENCH_0007 ring-walker workloads
-/// (mandel_loop, matmul_loop) on the *sim* platform under both engines,
-/// with `ClusterConfig::profile` toggled per run. Profiling is pure
+/// (mandel_loop, matmul_loop) on the *sim* platform, with
+/// `ClusterConfig::profile` toggled per run. Profiling is pure
 /// bookkeeping — it charges nothing to the cost model — so the bench
 /// verifies the four properties the PR promises, then records where the
 /// messenger-nanoseconds actually went:
 ///
 /// * **Inertness**: simulated clock and every node variable are
-///   bit-identical with profiling on and off (`profile_state_identical`),
-///   and the two engines agree with each other (`engines_agree`).
+///   bit-identical with profiling on and off (`profile_state_identical`).
 /// * **Determinism**: two same-seed profiled runs produce byte-identical
 ///   traces and byte-identical `msgr profile` reports
 ///   (`profile_report_deterministic`).
 /// * **Additivity**: the profiled trace is the unprofiled trace plus
 ///   only `phase_ledger`/`pc_sample` events (`profile_adds_only`).
 /// * **Cheapness**: wall-clock overhead of profiling stays under 5%.
-///   Each cell's overhead is the median on/off ratio over N paired
+///   Each cell's overhead is the median on/off ratio over nine paired
 ///   adjacent runs (both halves of a pair share the host's frequency
 ///   and cache state, so drift cancels; pairs alternate which half runs
 ///   first, so a first-run bias cancels too). The enforced bound is
-///   `overhead_frac_interp_max` — the interpreter cells, whose runs are
-///   an order of magnitude longer than the compiled ones, are where the
-///   ratio's denominator towers over scheduler jitter; the
-///   instrumentation (one predictable branch per dispatch plus the
-///   daemon-side ledger hooks) is identical across engines.
-///   `overhead_frac_max` over all cells is recorded unbounded, as the
-///   compiled cells' short runs make their ratios noise-dominated.
+///   `overhead_frac_max`, the worst cell.
 ///
 /// Each row then reports the phase decomposition — queue / verify /
 /// exec / enc / xport / park / stall as fractions of the attributed
@@ -1766,16 +1719,16 @@ pub fn text_codesize() -> Table {
 /// profiled run produced no ledgers / no pc samples.
 pub fn ablation_profile(smoke: bool) -> String {
     use msgr_core::topology::LogicalTopology;
-    use msgr_core::{DaemonId, ExecMode, SimCluster, TraceConfig};
+    use msgr_core::{DaemonId, SimCluster, TraceConfig};
     use msgr_prof::{Profile, PHASES};
     use msgr_vm::{Dir, Value};
 
     let daemons = 4usize;
-    // Sized so even the smoke interpreter runs take ~0.1s of host time:
-    // the overhead ratio needs a denominator well above scheduler jitter.
+    // Single off/on pairs of these runs swing by several percent either
+    // way on a shared host, so each cell takes the median of nine pairs.
     let (nodes, walkers, passes, iters) =
         if smoke { (8usize, 8usize, 8i64, 8192i64) } else { (16, 16, 32, 8192) };
-    let repeats = 5;
+    let repeats = 9;
 
     let ring_topo = |nodes: usize| {
         let block = nodes.div_ceil(daemons);
@@ -1793,10 +1746,9 @@ pub fn ablation_profile(smoke: bool) -> String {
         }
         topo
     };
-    let cfg_for = |exec: ExecMode, profile: bool| {
+    let cfg_for = |profile: bool| {
         let mut cfg = ClusterConfig::new(daemons);
         cfg.seed = 42;
-        cfg.exec = exec;
         cfg.trace = TraceConfig::on();
         cfg.profile = profile;
         // Sample densely enough that even the smoke-sized inner loops
@@ -1813,8 +1765,8 @@ pub fn ablation_profile(smoke: bool) -> String {
     // One sim run; returns (report, host wall seconds, state digest).
     // The digest covers the simulated clock and every node variable bit
     // — the profiler must not move any of it.
-    let run_sim = |script: &str, exec: ExecMode, profile: bool| {
-        let mut cluster = SimCluster::new(cfg_for(exec, profile));
+    let run_sim = |script: &str, profile: bool| {
+        let mut cluster = SimCluster::new(cfg_for(profile));
         cluster.build(&ring_topo(nodes)).expect("build sim ring");
         let pid = cluster.register_program(&msgr_lang::compile(script).expect("compile"));
         for m in 0..walkers {
@@ -1850,131 +1802,107 @@ pub fn ablation_profile(smoke: bool) -> String {
 
     let mut rows = Vec::new();
     let mut overhead_max = f64::NEG_INFINITY;
-    let mut overhead_interp_max = f64::NEG_INFINITY;
     let mut state_identical = true;
     let mut adds_only = true;
     let mut report_deterministic = true;
-    let mut digests: Vec<(String, u64)> = Vec::new();
 
     for (name, script) in [("mandel_loop", MANDEL_LOOP), ("matmul_loop", MATMUL_LOOP)] {
-        for exec in [ExecMode::Interp, ExecMode::Compiled] {
-            let engine = match exec {
-                ExecMode::Interp => "interp",
-                ExecMode::Compiled => "compiled",
-            };
-            // Overhead is measured on *paired* adjacent off/on runs —
-            // both halves of a pair share the host's thermal/frequency
-            // state, so drift across the bench cancels out of the ratio.
-            // Pairs alternate which half runs first, so a bias toward
-            // the first (or second) run of a pair cancels too. The
-            // cell's overhead is the median of the per-pair ratios (a
-            // lone noisy pair cannot move the median). One untimed
-            // warmup run absorbs cold caches and lazy page faults.
-            run_sim(script, exec, false);
-            let mut ratios = Vec::new();
-            let mut off_digest = 0u64;
-            let mut off_trace = String::new();
-            let mut on_digest = 0u64;
-            let mut on_traces: Vec<String> = Vec::new();
-            let mut on_reports: Vec<String> = Vec::new();
-            let mut profile = Profile::default();
-            for r in 0..repeats {
-                let off_first = r % 2 == 0;
-                let first = run_sim(script, exec, !off_first);
-                let second = run_sim(script, exec, off_first);
-                let ((off, off_w, off_h), (rep, on_w, on_h)) =
-                    if off_first { (first, second) } else { (second, first) };
-                off_digest = off_h;
-                on_digest = on_h;
+        // Overhead is measured on *paired* adjacent off/on runs —
+        // both halves of a pair share the host's thermal/frequency
+        // state, so drift across the bench cancels out of the ratio.
+        // Pairs alternate which half runs first, so a bias toward
+        // the first (or second) run of a pair cancels too. The
+        // cell's overhead is the median of the per-pair ratios (a
+        // lone noisy pair cannot move the median). One untimed
+        // warmup run absorbs cold caches and lazy page faults.
+        run_sim(script, false);
+        let mut ratios = Vec::new();
+        let mut off_digest = 0u64;
+        let mut off_trace = String::new();
+        let mut on_digest = 0u64;
+        let mut on_traces: Vec<String> = Vec::new();
+        let mut on_reports: Vec<String> = Vec::new();
+        let mut profile = Profile::default();
+        for r in 0..repeats {
+            let off_first = r % 2 == 0;
+            let first = run_sim(script, !off_first);
+            let second = run_sim(script, off_first);
+            let ((off, off_w, off_h), (rep, on_w, on_h)) =
+                if off_first { (first, second) } else { (second, first) };
+            off_digest = off_h;
+            on_digest = on_h;
+            if r == 0 {
+                off_trace = off.trace.as_ref().expect("trace on").to_jsonl();
+            }
+            ratios.push(on_w / off_w.max(1e-9));
+            if r < 2 {
+                let t = rep.trace.as_ref().expect("trace on");
+                on_traces.push(t.to_jsonl());
+                on_reports.push(Profile::from_trace(t).report());
                 if r == 0 {
-                    off_trace = off.trace.as_ref().expect("trace on").to_jsonl();
-                }
-                ratios.push(on_w / off_w.max(1e-9));
-                if r < 2 {
-                    let t = rep.trace.as_ref().expect("trace on");
-                    on_traces.push(t.to_jsonl());
-                    on_reports.push(Profile::from_trace(t).report());
-                    if r == 0 {
-                        profile = Profile::from_trace(t);
-                    }
+                    profile = Profile::from_trace(t);
                 }
             }
-            ratios.sort_by(f64::total_cmp);
-            let overhead = ratios[ratios.len() / 2] - 1.0;
-            state_identical &= off_digest == on_digest;
-            report_deterministic &= on_traces[0] == on_traces[1] && on_reports[0] == on_reports[1];
-            // The profiled trace minus the profiler's own events must
-            // carry exactly the unprofiled events (seq renumbering
-            // aside): same count, same kinds in order.
-            let kind_of = |line: &str| {
-                line.split("\"ev\":\"")
-                    .nth(1)
-                    .and_then(|s| s.split('"').next())
-                    .unwrap_or("")
-                    .to_string()
-            };
-            let off_kinds: Vec<String> =
-                off_trace.lines().filter(|l| l.contains("\"ev\"")).map(kind_of).collect();
-            let on_kinds: Vec<String> = on_traces[0]
-                .lines()
-                .filter(|l| l.contains("\"ev\"") && !is_prof_event(l))
-                .map(kind_of)
-                .collect();
-            assert!(
-                !off_kinds.is_empty(),
-                "{name}/{engine}: adds-only check matched no event lines"
-            );
-            adds_only &= off_kinds == on_kinds;
-            digests.push((format!("{name}/{engine}"), off_digest));
-            overhead_max = overhead_max.max(overhead);
-            if exec == ExecMode::Interp {
-                overhead_interp_max = overhead_interp_max.max(overhead);
-            }
-
-            assert!(!profile.ledgers.is_empty(), "{name}/{engine}: no full ledgers");
-            assert!(!profile.samples.is_empty(), "{name}/{engine}: no pc samples");
-            let totals = profile.phase_totals();
-            let denom = profile.attributed_total().max(1) as f64;
-            let fracs: Vec<f64> = totals.iter().map(|&ns| ns as f64 / denom).collect();
-            let frac_sum: f64 = fracs.iter().sum();
-            assert!(
-                (frac_sum - 1.0).abs() <= 0.01,
-                "{name}/{engine}: phase fractions sum to {frac_sum}, off by more than 1%"
-            );
-            let chain = profile.critical_chain();
-            let chain_ns: u64 = chain.iter().map(|(l, e)| l.total + e).sum();
-            let frac_fields: Vec<String> =
-                PHASES.iter().zip(&fracs).map(|(p, f)| format!("\"frac_{p}\": {f:.4}")).collect();
-            rows.push(format!(
-                concat!(
-                    "    {{\"platform\": \"sim\", \"workload\": \"{}\", \"engine\": \"{}\", ",
-                    "\"ledgers\": {}, \"partial_ledgers\": {}, \"attributed_ns\": {}, ",
-                    "\"pc_sites\": {}, \"critical_path_hops\": {}, \"critical_path_ns\": {}, ",
-                    "{}, \"frac_sum\": {:.4}, \"overhead_frac\": {:.4}}}"
-                ),
-                name,
-                engine,
-                profile.ledgers.len(),
-                profile.forks.len(),
-                profile.attributed_total(),
-                profile.samples.len(),
-                chain.len(),
-                chain_ns,
-                frac_fields.join(", "),
-                frac_sum,
-                overhead,
-            ));
         }
+        ratios.sort_by(f64::total_cmp);
+        let overhead = ratios[ratios.len() / 2] - 1.0;
+        state_identical &= off_digest == on_digest;
+        report_deterministic &= on_traces[0] == on_traces[1] && on_reports[0] == on_reports[1];
+        // The profiled trace minus the profiler's own events must
+        // carry exactly the unprofiled events (seq renumbering
+        // aside): same count, same kinds in order.
+        let kind_of = |line: &str| {
+            line.split("\"ev\":\"")
+                .nth(1)
+                .and_then(|s| s.split('"').next())
+                .unwrap_or("")
+                .to_string()
+        };
+        let off_kinds: Vec<String> =
+            off_trace.lines().filter(|l| l.contains("\"ev\"")).map(kind_of).collect();
+        let on_kinds: Vec<String> = on_traces[0]
+            .lines()
+            .filter(|l| l.contains("\"ev\"") && !is_prof_event(l))
+            .map(kind_of)
+            .collect();
+        assert!(!off_kinds.is_empty(), "{name}: adds-only check matched no event lines");
+        adds_only &= off_kinds == on_kinds;
+        overhead_max = overhead_max.max(overhead);
+
+        assert!(!profile.ledgers.is_empty(), "{name}: no full ledgers");
+        assert!(!profile.samples.is_empty(), "{name}: no pc samples");
+        let totals = profile.phase_totals();
+        let denom = profile.attributed_total().max(1) as f64;
+        let fracs: Vec<f64> = totals.iter().map(|&ns| ns as f64 / denom).collect();
+        let frac_sum: f64 = fracs.iter().sum();
+        assert!(
+            (frac_sum - 1.0).abs() <= 0.01,
+            "{name}: phase fractions sum to {frac_sum}, off by more than 1%"
+        );
+        let chain = profile.critical_chain();
+        let chain_ns: u64 = chain.iter().map(|(l, e)| l.total + e).sum();
+        let frac_fields: Vec<String> =
+            PHASES.iter().zip(&fracs).map(|(p, f)| format!("\"frac_{p}\": {f:.4}")).collect();
+        rows.push(format!(
+            concat!(
+                "    {{\"platform\": \"sim\", \"workload\": \"{}\", ",
+                "\"ledgers\": {}, \"partial_ledgers\": {}, \"attributed_ns\": {}, ",
+                "\"pc_sites\": {}, \"critical_path_hops\": {}, \"critical_path_ns\": {}, ",
+                "{}, \"frac_sum\": {:.4}, \"overhead_frac\": {:.4}}}"
+            ),
+            name,
+            profile.ledgers.len(),
+            profile.forks.len(),
+            profile.attributed_total(),
+            profile.samples.len(),
+            chain.len(),
+            chain_ns,
+            frac_fields.join(", "),
+            frac_sum,
+            overhead,
+        ));
     }
 
-    // Cross-engine gate, as in BENCH_0007: interp and compiled must agree
-    // on the simulated state before the profile numbers mean anything.
-    let engines_agree = ["mandel_loop", "matmul_loop"].iter().all(|name| {
-        let d: Vec<u64> =
-            digests.iter().filter(|(k, _)| k.starts_with(*name)).map(|&(_, d)| d).collect();
-        d.windows(2).all(|w| w[0] == w[1])
-    });
-    assert!(engines_agree, "engines disagree on sim-platform state");
     assert!(state_identical, "profiling moved the simulated state");
     assert!(adds_only, "profiling perturbed the non-profiler event stream");
     assert!(report_deterministic, "same-seed profiled runs diverged");
@@ -1986,12 +1914,10 @@ pub fn ablation_profile(smoke: bool) -> String {
             "  \"workload\": \"ring {} nodes x {} walkers x {} hops, {} inner iters/hop, ",
             "{} daemons\",\n",
             "  \"rows\": [\n{}\n  ],\n",
-            "  \"engines_agree\": {},\n",
             "  \"profile_state_identical\": {},\n",
             "  \"profile_adds_only\": {},\n",
             "  \"profile_report_deterministic\": {},\n",
-            "  \"overhead_frac_max\": {:.4},\n",
-            "  \"overhead_frac_interp_max\": {:.4}\n}}"
+            "  \"overhead_frac_max\": {:.4}\n}}"
         ),
         if smoke { "smoke" } else { "full" },
         nodes,
@@ -2000,19 +1926,17 @@ pub fn ablation_profile(smoke: bool) -> String {
         iters,
         daemons,
         rows.join(",\n"),
-        engines_agree,
         state_identical,
         adds_only,
         report_deterministic,
         overhead_max,
-        overhead_interp_max,
     )
 }
 
 /// Schema check for a `BENCH_0010.json` produced by [`ablation_profile`]:
-/// required keys present, all four workload × engine rows recorded, every
+/// required keys present, both workload rows recorded, every
 /// phase fraction in `[0, 1]` with each row's `frac_sum` within 1% of 1,
-/// ledgers and pc-sample sites non-empty everywhere, the four invariant
+/// ledgers and pc-sample sites non-empty everywhere, the three invariant
 /// flags `true`, and the worst-case profiling overhead at most 5%.
 ///
 /// # Errors
@@ -2067,11 +1991,6 @@ pub fn validate_bench_0010(json: &str) -> Result<(), String> {
             return Err(format!("missing rows for workload {workload:?}"));
         }
     }
-    for engine in ["interp", "compiled"] {
-        if !json.contains(&format!("\"engine\": \"{engine}\"")) {
-            return Err(format!("missing rows for engine {engine:?}"));
-        }
-    }
     // Every phase fraction is a valid fraction; every row's sum is
     // within 1% of the end-to-end attributed total.
     for phase in ["queue", "verify", "exec", "enc", "xport", "park", "stall"] {
@@ -2118,22 +2037,14 @@ pub fn validate_bench_0010(json: &str) -> Result<(), String> {
             Err("empty critical path".to_string())
         }
     })?;
-    for flag in [
-        "engines_agree",
-        "profile_state_identical",
-        "profile_adds_only",
-        "profile_report_deterministic",
-    ] {
+    for flag in ["profile_state_identical", "profile_adds_only", "profile_report_deterministic"] {
         if !json.contains(&format!("\"{flag}\": true")) {
             return Err(format!("invariant {flag:?} is not recorded as true"));
         }
     }
-    number_after(json, "overhead_frac_max", 0)?;
-    let overhead = number_after(json, "overhead_frac_interp_max", 0)?;
+    let overhead = number_after(json, "overhead_frac_max", 0)?;
     if overhead > 0.05 {
-        return Err(format!(
-            "worst-case interpreter-cell profiling overhead {overhead:.4} exceeds the 5% bound"
-        ));
+        return Err(format!("worst-case profiling overhead {overhead:.4} exceeds the 5% bound"));
     }
     Ok(())
 }

@@ -35,35 +35,6 @@ pub enum VtMode {
     Optimistic,
 }
 
-/// Which execution engine daemons use to run messenger segments.
-///
-/// Both engines are observationally identical (the differential suite
-/// `crates/vm/tests/diff_props.rs` holds them to that), so this knob
-/// changes wall-clock throughput only — simulated results, goldens, and
-/// traces are bit-identical across modes. Programs are verified and
-/// compiled at registration regardless of mode; `Compiled` merely makes
-/// the daemons dispatch through the closure trees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The paper-era bytecode interpreter (`msgr_vm::interp`).
-    #[default]
-    Interp,
-    /// Direct-threaded closure trees with superinstructions
-    /// (`msgr_vm::compile`).
-    Compiled,
-}
-
-impl ExecMode {
-    /// Parse a CLI/env spelling (`interp` | `compiled`).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "interp" => Some(ExecMode::Interp),
-            "compiled" => Some(ExecMode::Compiled),
-            _ => None,
-        }
-    }
-}
-
 /// CPU-cost constants, in reference nanoseconds (1.0-speed machine).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -288,15 +259,12 @@ pub struct ClusterConfig {
     /// daemon records typed [`msgr_trace::TraceEvent`]s into a bounded
     /// ring that the platform merges into the run report.
     pub trace: msgr_trace::TraceConfig,
-    /// Execution engine ([`ExecMode::Interp`] unless overridden via the
-    /// `MSGR_EXEC` environment variable or `msgr run --exec`).
-    pub exec: ExecMode,
     /// Whether the code registry runs the interprocedural effect
     /// analysis at registration and hands the resulting summary table to
-    /// the closure compiler (call fusion, typed loops) — and to the
-    /// daemons (node-variable snapshot elision). On by default; both
-    /// engines stay observationally identical either way, so this knob
-    /// only changes wall-clock throughput and the `analysis_*` metrics.
+    /// the overlay compiler (call fusion, typed loops) — and to the
+    /// daemons (node-variable snapshot elision). On by default; execution
+    /// stays observationally identical either way, so this knob only
+    /// changes wall-clock throughput and the `analysis_*` metrics.
     /// Overridable via the `MSGR_ANALYSIS` environment variable
     /// (`0`/`off` disables).
     pub analysis: bool,
@@ -353,10 +321,6 @@ impl ClusterConfig {
             recovery: RecoveryPolicy::from_env(),
             checkpoint_dir: None,
             trace: msgr_trace::TraceConfig::default(),
-            exec: std::env::var("MSGR_EXEC")
-                .ok()
-                .and_then(|s| ExecMode::parse(&s))
-                .unwrap_or_default(),
             analysis: !matches!(
                 std::env::var("MSGR_ANALYSIS").ok().as_deref(),
                 Some("0") | Some("off") | Some("false")
@@ -412,11 +376,6 @@ mod tests {
         assert!(!c.reliable(), "transport must default to off");
         assert!(!c.trace.enabled, "tracing must default to off");
         assert!(!c.local_move, "move-hops must default to off");
-        if std::env::var("MSGR_EXEC").is_err() {
-            assert_eq!(c.exec, ExecMode::Interp, "execution must default to interp");
-        }
-        assert_eq!(ExecMode::parse("compiled"), Some(ExecMode::Compiled));
-        assert_eq!(ExecMode::parse("jit"), None);
         if std::env::var("MSGR_SUCCESSION").is_err() {
             assert_eq!(c.succession, Succession::Quorum, "succession must default to quorum");
         }

@@ -45,9 +45,7 @@ use crate::wire::{self as wirecodec, CreateNode, Migration, Wire};
 /// observable in-run), but no daemon will ever execute them.
 #[derive(Clone)]
 pub struct CodeCache {
-    map: Arc<RwLock<HashMap<ProgramId, Arc<Program>>>>,
-    compiled: Arc<RwLock<HashMap<ProgramId, Arc<msgr_vm::CompiledProgram>>>>,
-    summaries: Arc<RwLock<HashMap<ProgramId, Arc<msgr_vm::SummaryTable>>>>,
+    map: Arc<RwLock<HashMap<ProgramId, Arc<Verified>>>>,
     rejected: Arc<RwLock<HashMap<ProgramId, Quarantined>>>,
     stats: Arc<RwLock<Stats>>,
     /// Whether registration runs the interprocedural effect analysis
@@ -59,8 +57,6 @@ impl Default for CodeCache {
     fn default() -> Self {
         CodeCache {
             map: Arc::default(),
-            compiled: Arc::default(),
-            summaries: Arc::default(),
             rejected: Arc::default(),
             stats: Arc::default(),
             analysis: true,
@@ -72,7 +68,7 @@ impl Default for CodeCache {
 /// turn this into `compile` / `code_hit` trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterOutcome {
-    /// Verified and compiled into closures (first sighting of the body).
+    /// Verified and compiled into its overlay (first sighting of the body).
     Compiled {
         /// Functions compiled.
         funcs: u64,
@@ -120,6 +116,16 @@ impl RegisterOutcome {
     }
 }
 
+/// A verified program with everything registration derived from it: one
+/// registry entry, so a segment finds its body, overlay and summaries in
+/// one lookup.
+struct Verified {
+    program: Arc<Program>,
+    compiled: msgr_vm::CompiledProgram,
+    /// Interprocedural effect summaries (`None` with analysis disabled).
+    summaries: Option<msgr_vm::SummaryTable>,
+}
+
 /// A program the verifier refused, kept for inspection alongside the
 /// reason it was refused.
 #[derive(Clone)]
@@ -154,11 +160,9 @@ impl CodeCache {
     /// Register a program; returns its content id.
     ///
     /// The program is verified first, then — verification is exactly the
-    /// precondition the closure compiler assumes — compiled into
-    /// closures, once per content hash no matter how many messengers
-    /// carry the body or which [`crate::config::ExecMode`] the cluster
-    /// runs (compiling unconditionally keeps `compile_*` metrics and
-    /// trace events mode-invariant). An unverifiable or uncompilable
+    /// precondition the overlay compiler assumes — compiled into its
+    /// overlay, once per content hash no matter how many messengers
+    /// carry the body. An unverifiable or uncompilable
     /// program is quarantined rather than stored: its id is still
     /// returned (ids are content hashes; refusing to mint one hides
     /// nothing), but [`CodeCache::get`] will never hand it out and
@@ -188,8 +192,8 @@ impl CodeCache {
                 // typed loops) and kept for the daemons (snapshot
                 // elision). The table lives *outside* the program, so
                 // content ids are analysis-invariant.
-                let summaries = self.analysis.then(|| Arc::new(msgr_analyze::summarize(program)));
-                match msgr_vm::compile::compile_with_summaries(program, summaries.as_deref()) {
+                let summaries = self.analysis.then(|| msgr_analyze::summarize(program));
+                match msgr_vm::compile::compile_with_summaries(program, summaries.as_ref()) {
                     Ok(cp) => {
                         let funcs = cp.func_count() as u64;
                         let superinsts = cp.superinstructions();
@@ -208,15 +212,13 @@ impl CodeCache {
                                 s.add(Metric::AnalysisTypedLoops, cp.typed_loops());
                             }
                         }
-                        if let Some(t) = summaries {
-                            self.summaries.write().unwrap().insert(id, t);
-                        }
-                        self.compiled.write().unwrap().insert(id, Arc::new(cp));
-                        self.map
-                            .write()
-                            .unwrap()
-                            .entry(id)
-                            .or_insert_with(|| Arc::new(program.clone()));
+                        self.map.write().unwrap().entry(id).or_insert_with(|| {
+                            Arc::new(Verified {
+                                program: Arc::new(program.clone()),
+                                compiled: cp,
+                                summaries,
+                            })
+                        });
                         (id, RegisterOutcome::Compiled { funcs, superinsts, analysis })
                     }
                     Err(e) => {
@@ -233,15 +235,8 @@ impl CodeCache {
         }
     }
 
-    /// The closure-compiled form of a verified program.
-    pub fn get_compiled(&self, id: ProgramId) -> Option<Arc<msgr_vm::CompiledProgram>> {
-        self.compiled.read().unwrap().get(&id).cloned()
-    }
-
-    /// The interprocedural effect summaries of a verified program
-    /// (`None` when the registry runs with analysis disabled).
-    pub fn get_summary(&self, id: ProgramId) -> Option<Arc<msgr_vm::SummaryTable>> {
-        self.summaries.read().unwrap().get(&id).cloned()
+    fn verified(&self, id: ProgramId) -> Option<Arc<Verified>> {
+        self.map.read().unwrap().get(&id).cloned()
     }
 
     /// Snapshot of the registry's `compile_*` counters, merged into
@@ -253,7 +248,7 @@ impl CodeCache {
     /// Look up a *verified* program. Quarantined programs are invisible
     /// here — use [`CodeCache::rejection`] to see why one was refused.
     pub fn get(&self, id: ProgramId) -> Option<Arc<Program>> {
-        self.map.read().unwrap().get(&id).cloned()
+        self.verified(id).map(|v| v.program.clone())
     }
 
     /// Order-independent fingerprint of every verified program body —
@@ -282,8 +277,8 @@ impl CodeCache {
 
     /// Whether any registered program suspends on virtual time.
     pub fn any_uses_virtual_time(&self) -> bool {
-        self.map.read().unwrap().values().any(|p| {
-            p.funcs.iter().any(|f| {
+        self.map.read().unwrap().values().any(|v| {
+            v.program.funcs.iter().any(|f| {
                 f.code.iter().any(|op| matches!(op, msgr_vm::Op::SchedAbs | msgr_vm::Op::SchedDlt))
             })
         })
@@ -2376,7 +2371,7 @@ impl Daemon {
             self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
             return c.gvt_msg_ns;
         };
-        let Some(program) = self.codes.get(run.state.program) else {
+        let Some(code) = self.codes.verified(run.state.program) else {
             let error = match self.codes.rejection(run.state.program) {
                 Some(reason) => {
                     self.stats.bump(Metric::VerifyRejected);
@@ -2389,24 +2384,7 @@ impl Daemon {
             self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
             return c.gvt_msg_ns;
         };
-        // In compiled mode the closure form must exist for every
-        // verified program (registration compiles unconditionally); a
-        // hole here is a registry corruption, surfaced like unknown code.
-        let compiled = match self.cfg.exec {
-            crate::config::ExecMode::Interp => None,
-            crate::config::ExecMode::Compiled => match self.codes.get_compiled(run.state.program) {
-                Some(cp) => Some(cp),
-                None => {
-                    fx.push(Effect::Fault {
-                        messenger: run.state.id,
-                        error: format!("program {} has no compiled form", run.state.program),
-                    });
-                    fx.push(Effect::LiveDelta(-1));
-                    self.prof_retire(run.state.id.0, run.state.vtime.as_f64());
-                    return c.gvt_msg_ns;
-                }
-            },
-        };
+        let program = &code.program;
 
         // Time-Warp bookkeeping: snapshot before execution. A program
         // the effect analysis proved write-free (no node-variable
@@ -2414,13 +2392,12 @@ impl Daemon {
         // pre-state snapshot is provably redundant and elided.
         let key = (run.state.vtime, run.state.id.0);
         let (snapshot, input_copy) = if optimistic {
-            let pre =
-                if self.codes.get_summary(run.state.program).is_some_and(|t| t.node_write_free()) {
-                    self.stats.bump(Metric::AnalysisSnapshotsElided);
-                    None
-                } else {
-                    Some(node.vars.clone())
-                };
+            let pre = if code.summaries.as_ref().is_some_and(|t| t.node_write_free()) {
+                self.stats.bump(Metric::AnalysisSnapshotsElided);
+                None
+            } else {
+                Some(node.vars.clone())
+            };
             (Some(pre), Some(run.clone()))
         } else {
             (None, None)
@@ -2428,12 +2405,12 @@ impl Daemon {
 
         let node_name = node.name.clone();
         let fuel = self.cfg.segment_fuel;
-        let natives = self.natives.read().unwrap().clone();
         let address = self.id.0;
         let prof_t0 = self.prof.as_ref().map(|p| p.now(self.rec.now()));
         // Scoped mutable borrow of the node's variables for the VM.
         let (yielded, ops, native_ns, nv_log, samples) = {
             let node = self.nodes.get_mut(&run.at).expect("checked above");
+            let natives = self.natives.read().unwrap();
             let mut env = SegEnv {
                 vars: &mut node.vars,
                 natives: &natives,
@@ -2448,10 +2425,7 @@ impl Daemon {
                 sample_every: self.prof.as_ref().map_or(0, |p| p.interval),
                 samples: BTreeMap::new(),
             };
-            let y = match &compiled {
-                None => interp::run(&program, &mut run.state, &mut env, fuel),
-                Some(cp) => msgr_vm::compile::run(cp, &program, &mut run.state, &mut env, fuel),
-            };
+            let y = msgr_vm::compile::run(&code.compiled, program, &mut run.state, &mut env, fuel);
             (y, env.ops, env.native_ns, env.nv_log, env.samples)
         };
         for (is_write, var) in nv_log.into_iter().flatten() {
@@ -2502,7 +2476,7 @@ impl Daemon {
         let mut sent: Vec<SentRef> = Vec::new();
         match yielded {
             Ok(y) => {
-                cost += self.handle_yield(run.clone(), y, &program, dir, fx, &mut sent);
+                cost += self.handle_yield(run.clone(), y, program, dir, fx, &mut sent);
             }
             Err(e) => {
                 fx.push(Effect::Fault { messenger: run.state.id, error: e.to_string() });

@@ -68,8 +68,7 @@ pub mod wire;
 
 pub use ckpt::{CheckpointStore, FileStore, MemStore};
 pub use config::{
-    ClusterConfig, CostModel, ExecMode, NetKind, RecoveryPolicy, RetransmitPolicy, Succession,
-    VtMode,
+    ClusterConfig, CostModel, NetKind, RecoveryPolicy, RetransmitPolicy, Succession, VtMode,
 };
 pub use daemon::{CodeCache, Daemon, Effect, RegisterOutcome};
 pub use ids::{DaemonId, NodeRef};

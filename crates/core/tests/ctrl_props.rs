@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{ClusterConfig, DaemonId, ExecMode, SimCluster};
+use msgr_core::{ClusterConfig, DaemonId, SimCluster};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_trace::{EventKind, Trace};
 use msgr_vm::{Dir, Value};
@@ -66,7 +66,6 @@ struct Scenario {
     seed: u64,
     plan: FaultPlan,
     replication: usize,
-    exec: ExecMode,
     trace: bool,
     trace_capacity: Option<usize>,
 }
@@ -97,7 +96,6 @@ fn arb_double_kill_scenario(s: &mut Source) -> Scenario {
             ..FaultPlan::none()
         },
         replication: 2,
-        exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
         trace: false,
         trace_capacity: None,
     }
@@ -128,7 +126,6 @@ fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
     cfg.seed = sc.seed;
     cfg.faults = sc.plan.clone();
     cfg.replication = sc.replication;
-    cfg.exec = sc.exec;
     cfg.trace.enabled = sc.trace;
     if let Some(cap) = sc.trace_capacity {
         cfg.trace.capacity = cap;
@@ -233,7 +230,6 @@ fn quorum_double_kill_traces_are_byte_identical() {
                 ..FaultPlan::none()
             },
             replication: 2,
-            exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
             trace: true,
             trace_capacity: None,
         };
@@ -283,7 +279,6 @@ fn recorder_drop_accounting_survives_gut_mid_gossip() {
             crashes: vec![CrashEvent::kill(2, 50 * MILLI), CrashEvent::kill(3, 120 * MILLI)],
         },
         replication: 2,
-        exec: ExecMode::Interp,
         trace: true,
         trace_capacity: capacity,
     };
@@ -378,7 +373,6 @@ fn soak_cascading_kills_with_replicated_checkpoints() {
             ],
         },
         replication: 2,
-        exec: ExecMode::Compiled,
         trace: false,
         trace_capacity: None,
     };

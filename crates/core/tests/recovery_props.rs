@@ -11,7 +11,7 @@
 
 use msgr_check::{check_with, prop_assert, prop_assert_eq, Config, Source};
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{ClusterConfig, DaemonId, ExecMode, SimCluster};
+use msgr_core::{ClusterConfig, DaemonId, SimCluster};
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 use msgr_vm::{Dir, Value};
 
@@ -64,15 +64,11 @@ struct Scenario {
     passes: i64,
     seed: u64,
     plan: FaultPlan,
-    exec: ExecMode,
 }
 
 /// A cluster of 2–8 daemons with one permanent worker kill (never daemon
 /// 0 — it hosts the GVT coordinator) somewhere in the first ~200 ms,
 /// i.e. anywhere from "before the first checkpoint" to "mid-run".
-/// The execution engine is drawn too: recovery must be indifferent to
-/// it (a compiled messenger checkpoints, dies, and restores with the
-/// same wire state as an interpreted one).
 fn arb_kill_scenario(s: &mut Source) -> Scenario {
     let daemons = s.usize_in(2..9);
     let victim = s.u32_in(1..daemons as u32);
@@ -86,7 +82,6 @@ fn arb_kill_scenario(s: &mut Source) -> Scenario {
             crashes: vec![CrashEvent::kill(victim, s.u64_in(0..200 * MILLI))],
             ..FaultPlan::none()
         },
-        exec: if s.bool_with(0.5) { ExecMode::Compiled } else { ExecMode::Interp },
     }
 }
 
@@ -115,7 +110,6 @@ fn run_ring(sc: &Scenario, program: &str) -> Result<RunResult, String> {
     let mut cfg = ClusterConfig::new(sc.daemons);
     cfg.seed = sc.seed;
     cfg.faults = sc.plan.clone();
-    cfg.exec = sc.exec;
     // These walks finish in well under a million events; a run that
     // needs more is stalled, and the tight budget turns "hang for the
     // full default budget" into a fast, seeded counterexample.
@@ -254,7 +248,6 @@ fn soak_survives_cascading_permanent_kills() {
                 CrashEvent::kill(7, 150 * MILLI),
             ],
         },
-        exec: ExecMode::Compiled,
     };
     let r = run_ring(&sc, WALK).expect("run completes");
     assert!(r.faults.is_empty(), "{:?}", r.faults);
@@ -277,7 +270,6 @@ fn recovery_smoke_mid_run_kill() {
         passes: 40,
         seed: 0xD1E,
         plan: FaultPlan { crashes: vec![CrashEvent::kill(2, 50 * MILLI)], ..FaultPlan::none() },
-        exec: ExecMode::Interp,
     };
     let r = run_ring(&sc, WALK).expect("run completes");
     assert!(r.faults.is_empty(), "{:?}", r.faults);
@@ -289,35 +281,5 @@ fn recovery_smoke_mid_run_kill() {
     assert!(r.stats.counter("evictions") >= 3, "every survivor evicts the victim");
     assert!(r.stats.counter("restored_nodes") > 0, "the victim hosted ring nodes");
     assert!(r.stats.counter("checkpoint_bytes") > 0);
-}
-
-/// The same mid-run-kill acceptance scenario under the compiled engine:
-/// a parked compiled messenger checkpoints, dies with its daemon, and
-/// restores on the successor with the same wire state an interpreted
-/// one would — so every tightly-asserted counter, the visit sum, and
-/// the simulated clock must match the interpreter run bit for bit.
-#[test]
-fn recovery_smoke_mid_run_kill_compiled() {
-    let sc = |exec: ExecMode| Scenario {
-        daemons: 4,
-        nodes: 8,
-        msgrs: 3,
-        passes: 40,
-        seed: 0xD1E,
-        plan: FaultPlan { crashes: vec![CrashEvent::kill(2, 50 * MILLI)], ..FaultPlan::none() },
-        exec,
-    };
-    let r = run_ring(&sc(ExecMode::Compiled), WALK).expect("run completes");
-    assert!(r.faults.is_empty(), "{:?}", r.faults);
-    assert_eq!(r.live_leak, 0);
-    assert_eq!(r.visits, 3 * 41);
-    assert_eq!(r.stats.counter("kills"), 1);
-    assert_eq!(r.stats.counter("fd_deaths"), 1, "exactly one Dead verdict acted on");
-    assert_eq!(r.stats.counter("restores"), 1);
     assert!(r.stats.counter("compile_programs") > 0, "the walk must have been compiled");
-    let interp = run_ring(&sc(ExecMode::Interp), WALK).expect("run completes");
-    assert_eq!(r.visits, interp.visits);
-    assert_eq!(r.sim_seconds.to_bits(), interp.sim_seconds.to_bits());
-    assert_eq!(r.events, interp.events);
-    assert_eq!(r.stats.counters().collect::<Vec<_>>(), interp.stats.counters().collect::<Vec<_>>());
 }

@@ -1,13 +1,15 @@
-//! Operator semantics shared by both execution engines.
+//! Operator semantics shared by the interpreter and the compiled overlay.
 //!
-//! The interpreter ([`crate::interp`]) and the closure compiler
-//! ([`crate::compile`]) must agree on every operator down to the last
+//! The interpreter's [`crate::interp`] step and the fused code of
+//! [`crate::compile`] must agree on every operator down to the last
 //! bit — the differential suite (`tests/diff_props.rs`) checks that, but
 //! sharing one implementation is what makes the property boring.
 //! Historically the `+` string-concatenation rule lived in a special
 //! case *before* the interpreter's generic arithmetic match (and only
 //! there); it is now one arm of the single [`arith`] match that both
 //! engines call.
+
+use std::sync::Arc;
 
 use crate::bytecode::Op;
 use crate::error::VmError;
@@ -105,6 +107,39 @@ pub(crate) fn neg(a: Value) -> Result<Value, VmError> {
         Value::Int(i) => Value::Int(i.wrapping_neg()),
         other => Value::Float(-other.as_float()?),
     })
+}
+
+/// `MakeArr`: an `n`-element array of `default`, bounded at 2^24.
+pub(crate) fn make_arr(n: i64, default: Value) -> Result<Value, VmError> {
+    if !(0..=(1 << 24)).contains(&n) {
+        return Err(VmError::Native(format!("bad array size {n}")));
+    }
+    Ok(Value::Arr(Arc::new(vec![default; n as usize])))
+}
+
+/// `IndexGet`: element `idx` of an array value.
+pub(crate) fn index_get(arr: &Value, idx: i64) -> Result<Value, VmError> {
+    let arr = arr.as_array()?;
+    arr.get(
+        usize::try_from(idx)
+            .map_err(|_| VmError::Native(format!("array index {idx} out of bounds")))?,
+    )
+    .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {})", arr.len())))
+    .cloned()
+}
+
+/// `IndexSet`: the array with element `idx` replaced (copy-on-write).
+pub(crate) fn index_set(arr: Value, idx: i64, value: Value) -> Result<Value, VmError> {
+    let mut arr = match arr {
+        Value::Arr(a) => a,
+        other => return Err(VmError::type_error("array", &other)),
+    };
+    let len = arr.len();
+    let slot = Arc::make_mut(&mut arr)
+        .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
+        .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {len})")))?;
+    *slot = value;
+    Ok(Value::Arr(arr))
 }
 
 /// Relative jump targets: offsets are from the *next* instruction.

@@ -1,16 +1,23 @@
-//! The closure-compiled execution engine.
+//! The compiled overlay: fused code the interpreter's dispatch loop
+//! consults at each pc.
 //!
-//! [`compile`] translates verified [`Program`] bytecode into a tree of
-//! Rust closures: every pc gets a direct-threaded single-op closure (no
-//! per-op `match` in the dispatch loop), and straight-line runs of pure
-//! stack code are additionally fused into **superinstructions** — one
-//! closure per run that evaluates the run's expression trees directly
-//! out of frame locals, bypassing the operand stack entirely. The fused
-//! spans subsume the hot patterns the MSGR-C compiler emits:
+//! [`compile`] translates verified [`Program`] bytecode into three kinds
+//! of superinstruction, each indexed by the pc it starts at:
 //!
-//! * `const/binop/store` — `i = i + 1`, `zr2 = zr*zr - zi*zi + cr`
-//! * `compare-and-branch` — `while (i < passes)` loop heads
-//! * `load/hop` — `hop(ll = "ring"; ldir = +)` operand + yield
+//! * **Fused spans** — straight-line runs of pure stack code lowered to
+//!   one closure tree that evaluates the run's expression trees directly
+//!   out of frame locals, bypassing the operand stack. They subsume the
+//!   hot patterns the MSGR-C compiler emits: `const/binop/store`
+//!   (`i = i + 1`), `compare-and-branch` (`while (i < passes)` loop
+//!   heads) and `load/hop` (`hop(ll = "ring"; ldir = +)`).
+//! * **Fused loops** — whole `while` loops run as flat register code,
+//!   optionally on an unboxed typed register file (`run_loop_typed`).
+//! * **Inlined calls** — a `Call` to a proven straight-line pure leaf
+//!   runs without an activation frame.
+//!
+//! Everything else — and every op after a fault — runs through
+//! [`crate::interp`]'s single-op step, the one definition of each
+//! opcode's semantics.
 //!
 //! # Engine contract
 //!
@@ -20,19 +27,18 @@
 //! *any* fuel. `tests/diff_props.rs` checks this differentially on
 //! generated programs. Two mechanisms make exactness cheap:
 //!
-//! * **Resume points**: because every pc keeps its single-op closure, a
+//! * **Resume points**: the overlay is consulted only where a pc has a
+//!   fused head, and the interpreter step runs everywhere else, so a
 //!   messenger can enter a function at *any* pc — a hop arrival, a
 //!   parked messenger resuming after `M_sched_*`, or a restored
-//!   checkpoint all resume mid-block without special cases. Fused spans
-//!   are an overlay: entering at a span head runs the superinstruction,
-//!   entering one op later runs the singles.
+//!   checkpoint all resume mid-block without special cases.
 //! * **Optimistic spans with deopt**: a fused span buffers its local
 //!   stores and touches nothing until every sub-expression has
 //!   evaluated. On any error it discards the buffered results and
 //!   *deoptimizes*: the dispatcher replays the span through the
-//!   single-op closures, which reproduce the interpreter's exact
-//!   partial state (pc, half-built stack, ops) at the fault. Spans run
-//!   only when the whole span fits in the remaining fuel, so
+//!   interpreter step, which reproduces the interpreter's exact partial
+//!   state (pc, half-built stack, ops) at the fault by construction.
+//!   Spans run only when the whole span fits in the remaining fuel, so
 //!   fuel-exhaustion positions are bit-exact too.
 //!
 //! # Precondition: verification
@@ -41,45 +47,32 @@
 //! and local-slot indices, jump targets inside the function — which is
 //! exactly what `msgr-analyze::verify` establishes before a program is
 //! admitted to the code registry. Compiling unverified code is safe
-//! (out-of-range accesses become closures that fail like the
-//! interpreter fails) but pointless; the daemon registry therefore
-//! compiles right after verification and quarantines on failure.
+//! (ops the compiler cannot prove sane are left to the interpreter step,
+//! which fails like the interpreter fails) but pointless; the daemon
+//! registry therefore compiles right after verification and quarantines
+//! on failure.
 
 use std::sync::Arc;
 
 use crate::binop;
-use crate::bytecode::{Dir, FuncId, LinkPat, NodePat, Op, Program};
+use crate::bytecode::{Dir, LinkPat, NodePat, Op, Program};
 use crate::error::VmError;
-use crate::interp::{Env, EvalCreateItem, EvalHop, EvalLink, Yield};
-use crate::state::{Frame, MessengerState, Vt};
+use crate::interp::{self, Env, EvalHop, EvalLink, Yield};
+use crate::state::{Frame, MessengerState};
 use crate::summary::SummaryTable;
 use crate::value::Value;
 
-/// Everything a step closure may touch while executing.
-struct StepCtx<'a, 'e> {
-    frame: &'a mut Frame,
-    env: &'a mut (dyn Env + 'e),
-    vtime: Vt,
-    ops: &'a mut u64,
-}
-
-/// What a step closure tells the dispatcher to do next.
+/// What a superinstruction tells the dispatcher to do next.
 enum Ctrl {
-    /// Continue at `frame.pc` (the closure already set it).
+    /// Continue at `frame.pc` (the superinstruction already set it).
     Next,
     /// Segment over: surface the yield.
     Yield(Yield),
-    /// Push an activation frame for a user-function call.
-    Call { f: FuncId, args: Vec<Value> },
-    /// Pop the current frame, pushing `Value` to the caller.
-    Ret(Value),
-    /// A fused span hit an error before committing anything: re-execute
-    /// from the same pc through the single-op closures, which reproduce
-    /// the interpreter's exact fault state.
+    /// A fault is pending at `frame.pc`, with nothing of the faulting
+    /// work committed: re-execute from there through the interpreter
+    /// step, which reproduces the exact fault state.
     Deopt,
 }
-
-type StepFn = Box<dyn Fn(&mut StepCtx<'_, '_>) -> Result<Ctrl, VmError> + Send + Sync>;
 
 /// A pure sub-expression of a fused span: evaluates against frame locals
 /// and the span's already-computed store values. Never touches the
@@ -91,12 +84,10 @@ struct SpanStep {
     /// Exact ops consumed; the dispatcher runs the span only when all of
     /// them fit in the remaining fuel.
     need: u32,
-    run: StepFn,
+    run: Box<dyn Fn(&mut Frame) -> Ctrl + Send + Sync>,
 }
 
 struct CompiledFunc {
-    /// One closure per pc — the resume-capable baseline.
-    singles: Vec<StepFn>,
     /// Fused spans, indexed by head pc.
     spans: Vec<Option<SpanStep>>,
     /// Fused counted loops, indexed by loop-head pc (the strongest
@@ -108,7 +99,7 @@ struct CompiledFunc {
     inlines: Vec<Option<InlineStep>>,
 }
 
-/// A program compiled to closures; build with [`compile`], execute with
+/// A program's compiled overlay; build with [`compile`], execute with
 /// [`run`]. Shareable across daemon threads (`Arc`) — closures hold no
 /// mutable state.
 pub struct CompiledProgram {
@@ -143,7 +134,7 @@ impl CompiledProgram {
         self.n_loops
     }
 
-    /// Number of single-op closures (== total bytecode ops compiled).
+    /// Total bytecode ops compiled (each pc the overlay covers).
     pub fn steps(&self) -> u64 {
         self.n_steps
     }
@@ -166,7 +157,7 @@ impl CompiledProgram {
     }
 }
 
-/// Compile a (verified) program into closures.
+/// Compile a (verified) program's overlay.
 ///
 /// # Errors
 ///
@@ -229,9 +220,6 @@ fn compile_full(
         if f.code.len() >= u32::MAX as usize {
             return Err(format!("function `{}` too large to compile", f.name));
         }
-        let singles: Vec<StepFn> = (0..f.code.len())
-            .map(|pc| single_step(p, &consts, f.code[pc], pc as u32 + 1))
-            .collect();
         let n_slots = f.n_slots as usize;
         let spans: Vec<Option<SpanStep>> = (0..f.code.len())
             .map(|pc| build_span(p, &f.code, n_slots, pc as u32, mutate))
@@ -256,16 +244,17 @@ fn compile_full(
         }
         n_superinsts += spans.iter().flatten().count() as u64;
         n_loops += loops.iter().flatten().count() as u64;
-        n_steps += singles.len() as u64;
+        n_steps += f.code.len() as u64;
         n_inlines += inlines.iter().flatten().count() as u64;
-        funcs.push(CompiledFunc { singles, spans, loops, inlines });
+        funcs.push(CompiledFunc { spans, loops, inlines });
     }
     n_superinsts += n_loops;
     Ok(CompiledProgram { funcs, n_superinsts, n_loops, n_steps, n_inlines, n_typed_loops })
 }
 
-/// Execute `m` until it yields, returns, or errors — the compiled twin
-/// of [`crate::interp::run`], with identical observable behavior.
+/// Execute `m` until it yields, returns, or errors — the interpreter
+/// with the compiled overlay consulted at each pc, with behavior
+/// identical to [`crate::interp::run`].
 ///
 /// # Errors
 ///
@@ -296,519 +285,85 @@ fn run_inner(
     next: &mut u64,
     interval: u64,
 ) -> Result<Yield, VmError> {
-    // Once a span deopts, finish the segment on singles: the fault that
-    // forced the deopt is about to re-fire with exact interpreter state.
+    // Once the overlay deopts, finish the segment on the interpreter
+    // step: the fault that forced the deopt is about to re-fire with
+    // exact interpreter state.
     let mut fast = true;
     loop {
         if *ops >= fuel {
             return Err(VmError::FuelExhausted);
         }
-        if *ops >= *next {
-            // Bulk-charged superinstructions (fused loops, inlined calls,
-            // spans) attribute all their ops to the head pc of the next
-            // dispatch — per-superinstruction attribution, same key space
-            // as the interpreter's flat profile.
-            if let Some(f) = m.frames.last() {
-                let crossings = (*ops - *next) / interval + 1;
-                env.pc_sample(u32::from(f.func.0), f.pc, crossings);
-                *next += crossings * interval;
-            }
-        }
-        let vtime = m.vtime;
-        let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
-        let cf = &cp.funcs[frame.func.0 as usize];
-        let pc = frame.pc as usize;
-        // Falling off the end of a function is an implicit `return NULL`.
-        if pc >= cf.singles.len() {
-            m.frames.pop();
-            match m.frames.last_mut() {
-                None => return Ok(Yield::Terminated(Value::Null)),
-                Some(caller) => {
-                    caller.stack.push(Value::Null);
+        // Bulk-charged superinstructions (fused loops, inlined calls,
+        // spans) attribute all their ops to the head pc of the next
+        // dispatch — per-superinstruction attribution, same key space as
+        // the interpreter's flat profile.
+        interp::sample(m, env, *ops, next, interval);
+        if fast {
+            match overlay(cp, m, fuel, ops) {
+                Some(Ctrl::Next) => continue,
+                Some(Ctrl::Yield(y)) => return Ok(y),
+                Some(Ctrl::Deopt) => {
+                    fast = false;
                     continue;
                 }
+                None => {}
             }
         }
-        if fast {
-            // Fused counted loops run first: whole iterations execute as
-            // flat register code, bulk-charged, as long as each full
-            // iteration fits in the remaining fuel. The partial last
-            // iteration (and any fault) falls back to spans/singles.
-            if let Some(lp) = cf.loops[pc].as_ref() {
-                if *ops + u64::from(lp.per_iter) <= fuel {
-                    // Summary-licensed loops try the unboxed typed
-                    // register file first; anything it cannot represent
-                    // falls through to the generic boxed executor.
-                    let typed = if lp.typed { run_loop_typed(lp, frame, fuel, ops) } else { None };
-                    match typed.or_else(|| run_loop(lp, frame, fuel, ops)) {
-                        Some(LoopExit::Progress) => continue,
-                        Some(LoopExit::Deopt) => {
-                            fast = false;
-                            continue;
-                        }
-                        None => {}
-                    }
-                }
-            }
-            // Summary-fused calls: a `Call` whose callee is proven
-            // straight-line pure executes inline — no activation frame —
-            // and bulk-charges `1 + exact_ops`. The charge trusts the
-            // summary (a wrong `exact_ops` diverges the ops count and is
-            // caught by the differential suite); eligibility and the
-            // result value are recomputed from the real callee bytecode,
-            // so a fault or unsupported op bails to the exact singles
-            // path below.
-            if let Some(il) = cf.inlines[pc].as_ref() {
-                if *ops + 1 + u64::from(il.exact_ops) <= fuel {
-                    if let Some(ret) = run_inline(il, &frame.stack) {
-                        let keep = frame.stack.len() - il.arity;
-                        frame.stack.truncate(keep);
-                        frame.stack.push(ret);
-                        *ops += 1 + u64::from(il.exact_ops);
-                        frame.pc = il.next;
-                        continue;
-                    }
-                }
-            }
-        }
-        let step = if fast {
-            match &cf.spans[pc] {
-                // A span runs only when it fits in the remaining fuel;
-                // near exhaustion the singles take over and hit the
-                // fuel wall at the interpreter's exact op.
-                Some(sp) if *ops + sp.need as u64 <= fuel => &sp.run,
-                _ => &cf.singles[pc],
-            }
-        } else {
-            &cf.singles[pc]
-        };
-        match step(&mut StepCtx { frame, env: &mut *env, vtime, ops })? {
-            Ctrl::Next => {}
-            Ctrl::Deopt => fast = false,
-            Ctrl::Yield(y) => return Ok(y),
-            Ctrl::Ret(v) => {
-                m.frames.pop();
-                match m.frames.last_mut() {
-                    None => return Ok(Yield::Terminated(v)),
-                    Some(caller) => caller.stack.push(v),
-                }
-            }
-            Ctrl::Call { f, args } => {
-                let new_frame = Frame::activate(program, f, &args)?;
-                m.frames.push(new_frame);
-            }
+        if let Some(y) = interp::step(program, m, env, ops)? {
+            return Ok(y);
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Single-op closures: the direct-threaded baseline, one per pc.
-// Each closure advances `frame.pc` on entry (mirroring the
-// interpreter's fetch) so errors leave the same pc behind.
-// ---------------------------------------------------------------------
-
-fn bx(f: impl Fn(&mut StepCtx<'_, '_>) -> Result<Ctrl, VmError> + Send + Sync + 'static) -> StepFn {
-    Box::new(f)
-}
-
-#[allow(clippy::too_many_lines)]
-fn single_step(p: &Program, consts: &Arc<Vec<Value>>, op: Op, next: u32) -> StepFn {
-    match op {
-        Op::Const(i) => match p.consts.get(i as usize) {
-            Some(v) => {
-                let v = v.clone();
-                bx(move |cx| {
-                    *cx.ops += 1;
-                    cx.frame.pc = next;
-                    cx.frame.stack.push(v.clone());
-                    Ok(Ctrl::Next)
-                })
+/// Run the superinstruction fused at the current pc, if there is one and
+/// it fits in the remaining fuel. `None` leaves the state untouched for
+/// the interpreter step.
+fn overlay(cp: &CompiledProgram, m: &mut MessengerState, fuel: u64, ops: &mut u64) -> Option<Ctrl> {
+    let frame = m.frames.last_mut()?;
+    let cf = cp.funcs.get(frame.func.0 as usize)?;
+    let pc = frame.pc as usize;
+    // Fused counted loops run first: whole iterations execute as flat
+    // register code, bulk-charged, as long as each full iteration fits
+    // in the remaining fuel. The partial last iteration (and any fault)
+    // falls back to spans and the interpreter step.
+    if let Some(lp) = cf.loops.get(pc)?.as_ref() {
+        if *ops + u64::from(lp.per_iter) <= fuel {
+            // Summary-licensed loops try the unboxed typed register file
+            // first; anything it cannot represent falls through to the
+            // generic boxed executor.
+            let typed = if lp.typed { run_loop_typed(lp, frame, fuel, ops) } else { None };
+            if let Some(ctrl) = typed.or_else(|| run_loop(lp, frame, fuel, ops)) {
+                return Some(ctrl);
             }
-            None => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                Err(VmError::Corrupt("constant index out of range"))
-            }),
-        },
-        Op::LoadLocal(i) => {
-            let i = i as usize;
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx
-                    .frame
-                    .locals
-                    .get(i)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?
-                    .clone();
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::StoreLocal(i) => {
-            let i = i as usize;
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                let slot = cx
-                    .frame
-                    .locals
-                    .get_mut(i)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?;
-                *slot = v;
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::LoadNode(i) => match name_const(consts, i) {
-            NameConst::Ok(name) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.env.node_var(&name);
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            }),
-            NameConst::Bad(f) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                Err(f())
-            }),
-        },
-        Op::StoreNode(i) => match name_const(consts, i) {
-            NameConst::Ok(name) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                cx.env.set_node_var(&name, v);
-                Ok(Ctrl::Next)
-            }),
-            NameConst::Bad(f) => bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                binop::pop(&mut cx.frame.stack)?;
-                Err(f())
-            }),
-        },
-        Op::LoadNet(var) => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = match var {
-                crate::bytecode::NetVar::Time => Value::Float(cx.vtime.as_f64()),
-                other => cx.env.net_var(other),
-            };
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::Dup => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = cx.frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::Pop => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            binop::pop(&mut cx.frame.stack)?;
-            Ok(Ctrl::Next)
-        }),
-        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let b = binop::pop(&mut cx.frame.stack)?;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(binop::arith(&op, a, b)?);
-            Ok(Ctrl::Next)
-        }),
-        Op::Neg => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(binop::neg(a)?);
-            Ok(Ctrl::Next)
-        }),
-        Op::Not => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(Value::Bool(!a.is_truthy()));
-            Ok(Ctrl::Next)
-        }),
-        Op::Eq | Op::Ne => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let b = binop::pop(&mut cx.frame.stack)?;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            let eq = a.loose_eq(&b);
-            cx.frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
-            Ok(Ctrl::Next)
-        }),
-        Op::Lt | Op::Le | Op::Gt | Op::Ge => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let b = binop::pop(&mut cx.frame.stack)?;
-            let a = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(binop::compare(&op, &a, &b)?);
-            Ok(Ctrl::Next)
-        }),
-        Op::Jump(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = target;
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfFalse(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = binop::pop(&mut cx.frame.stack)?;
-                if !v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfTruePeek(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::JumpIfFalsePeek(off) => {
-            let target = binop::jump(next, off);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let v = cx.frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if !v.is_truthy() {
-                    cx.frame.pc = target;
-                }
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::Call { f, argc } => {
-            let in_range = (f as usize) < p.funcs.len();
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let at = cx
-                    .frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("call args underflow"))?;
-                let args: Vec<Value> = cx.frame.stack.split_off(at);
-                if !in_range {
-                    return Err(VmError::Corrupt("call target out of range"));
-                }
-                Ok(Ctrl::Call { f: FuncId(f), args })
-            })
-        }
-        Op::CallNative { name, argc } => {
-            let name = name_const(consts, name);
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let at = cx
-                    .frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("native args underflow"))?;
-                let args: Vec<Value> = cx.frame.stack.split_off(at);
-                let name = match &name {
-                    NameConst::Ok(n) => n,
-                    NameConst::Bad(f) => return Err(f()),
-                };
-                let v = cx.env.call_native(name, &args)?;
-                cx.frame.stack.push(v);
-                Ok(Ctrl::Next)
-            })
-        }
-        Op::Ret => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let v = binop::pop(&mut cx.frame.stack)?;
-            Ok(Ctrl::Ret(v))
-        }),
-        Op::Hop(i) | Op::Delete(i) => {
-            let spec = p.hop_specs.get(i as usize).copied();
-            let delete = matches!(op, Op::Delete(_));
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let spec = spec.ok_or(VmError::Corrupt("hop spec out of range"))?;
-                // Operands were pushed ln-then-ll; pop in reverse.
-                let ll = match spec.ll {
-                    LinkPat::Wild => EvalLink::Wild,
-                    LinkPat::Unnamed => EvalLink::Unnamed,
-                    LinkPat::Virtual => EvalLink::Virtual,
-                    LinkPat::Expr => eval_link(binop::pop(&mut cx.frame.stack)?),
-                };
-                let ln = match spec.ln {
-                    NodePat::Wild => None,
-                    NodePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                };
-                let eh = EvalHop { ln, ll, ldir: spec.ldir };
-                Ok(Ctrl::Yield(if delete { Yield::Delete(eh) } else { Yield::Hop(eh) }))
-            })
-        }
-        Op::Create(i) => {
-            let spec = p.create_specs.get(i as usize).cloned();
-            bx(move |cx| {
-                *cx.ops += 1;
-                cx.frame.pc = next;
-                let spec = spec.clone().ok_or(VmError::Corrupt("create spec out of range"))?;
-                // Operands pushed per item in order (ln, ll, dn, dl);
-                // pop everything in reverse.
-                let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
-                for it in spec.items.iter().rev() {
-                    let dl = match it.dl {
-                        LinkPat::Wild => EvalLink::Wild,
-                        LinkPat::Unnamed => EvalLink::Unnamed,
-                        LinkPat::Virtual => EvalLink::Virtual,
-                        LinkPat::Expr => eval_link(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let dn = match it.dn {
-                        NodePat::Wild => None,
-                        NodePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let ll = match it.ll {
-                        crate::bytecode::NamePat::Unnamed => None,
-                        crate::bytecode::NamePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    let ln = match it.ln {
-                        crate::bytecode::NamePat::Unnamed => None,
-                        crate::bytecode::NamePat::Expr => Some(binop::pop(&mut cx.frame.stack)?),
-                    };
-                    items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
-                }
-                items.reverse();
-                Ok(Ctrl::Yield(Yield::Create(crate::interp::EvalCreate { items, all: spec.all })))
-            })
-        }
-        Op::SchedAbs => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let t = binop::pop(&mut cx.frame.stack)?.as_float()?;
-            if t.is_nan() {
-                return Err(VmError::Corrupt("NaN virtual time"));
-            }
-            Ok(Ctrl::Yield(Yield::SchedAbs(Vt::new(t))))
-        }),
-        Op::SchedDlt => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let dt = binop::pop(&mut cx.frame.stack)?.as_float()?;
-            if dt.is_nan() {
-                return Err(VmError::Corrupt("NaN virtual time"));
-            }
-            Ok(Ctrl::Yield(Yield::SchedDlt(dt)))
-        }),
-        Op::Halt => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            Ok(Ctrl::Yield(Yield::Terminated(Value::Null)))
-        }),
-        Op::MakeArr => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let default = binop::pop(&mut cx.frame.stack)?;
-            let n = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            if !(0..=(1 << 24)).contains(&n) {
-                return Err(VmError::Native(format!("bad array size {n}")));
-            }
-            cx.frame.stack.push(Value::Arr(Arc::new(vec![default; n as usize])));
-            Ok(Ctrl::Next)
-        }),
-        Op::IndexGet => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let idx = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            let arr = binop::pop(&mut cx.frame.stack)?;
-            let v = index_get(&arr, idx)?;
-            cx.frame.stack.push(v);
-            Ok(Ctrl::Next)
-        }),
-        Op::IndexSet => bx(move |cx| {
-            *cx.ops += 1;
-            cx.frame.pc = next;
-            let value = binop::pop(&mut cx.frame.stack)?;
-            let idx = binop::pop(&mut cx.frame.stack)?.as_int()?;
-            let arr = binop::pop(&mut cx.frame.stack)?;
-            cx.frame.stack.push(index_set(arr, idx, value)?);
-            Ok(Ctrl::Next)
-        }),
-    }
-}
-
-/// A name constant (`LoadNode`/`StoreNode`/`CallNative`) resolved at
-/// compile time; `Bad` reproduces the interpreter's lazy failure.
-enum NameConst {
-    Ok(String),
-    Bad(Box<dyn Fn() -> VmError + Send + Sync>),
-}
-
-fn name_const(consts: &Arc<Vec<Value>>, i: u16) -> NameConst {
-    match consts.get(i as usize) {
-        Some(v) => match v.as_str() {
-            Ok(s) => NameConst::Ok(s.to_string()),
-            Err(_) => {
-                let v = v.clone();
-                NameConst::Bad(Box::new(move || v.as_str().unwrap_err()))
-            }
-        },
-        None => {
-            // The interpreter indexes the constant pool directly here and
-            // panics; reproduce that exact behavior lazily.
-            let consts = consts.clone();
-            let i = i as usize;
-            NameConst::Bad(Box::new(move || {
-                let _ = &consts[i];
-                unreachable!("index above is out of range")
-            }))
         }
     }
-}
-
-fn eval_link(v: Value) -> EvalLink {
-    match v {
-        Value::Link(inst) => EvalLink::Instance(inst),
-        Value::Null => EvalLink::Unnamed,
-        v => EvalLink::Named(v),
+    // Summary-fused calls: a `Call` whose callee is proven straight-line
+    // pure executes inline — no activation frame — and bulk-charges
+    // `1 + exact_ops`. The charge trusts the summary (a wrong `exact_ops`
+    // diverges the ops count and is caught by the differential suite);
+    // eligibility and the result value are recomputed from the real
+    // callee bytecode, so a fault or unsupported op bails to the exact
+    // interpreter step.
+    if let Some(il) = cf.inlines[pc].as_ref() {
+        if *ops + 1 + u64::from(il.exact_ops) <= fuel {
+            if let Some(ret) = run_inline(il, &frame.stack) {
+                let keep = frame.stack.len() - il.arity;
+                frame.stack.truncate(keep);
+                frame.stack.push(ret);
+                *ops += 1 + u64::from(il.exact_ops);
+                frame.pc = il.next;
+                return Some(Ctrl::Next);
+            }
+        }
     }
-}
-
-fn index_get(arr: &Value, idx: i64) -> Result<Value, VmError> {
-    let arr = arr.as_array()?;
-    arr.get(
-        usize::try_from(idx)
-            .map_err(|_| VmError::Native(format!("array index {idx} out of bounds")))?,
-    )
-    .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {})", arr.len())))
-    .cloned()
-}
-
-fn index_set(arr: Value, idx: i64, value: Value) -> Result<Value, VmError> {
-    let mut arr = match arr {
-        Value::Arr(a) => a,
-        other => return Err(VmError::type_error("array", &other)),
-    };
-    let len = arr.len();
-    let slot = Arc::make_mut(&mut arr)
-        .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
-        .ok_or_else(|| VmError::Native(format!("array index {idx} out of bounds (len {len})")))?;
-    *slot = value;
-    Ok(Value::Arr(arr))
+    // A span runs only when it fits in the remaining fuel; near
+    // exhaustion the interpreter step hits the fuel wall at the exact op.
+    let sp = cf.spans[pc].as_ref().filter(|sp| *ops + u64::from(sp.need) <= fuel)?;
+    let ctrl = (sp.run)(frame);
+    if !matches!(ctrl, Ctrl::Deopt) {
+        *ops += u64::from(sp.need);
+    }
+    Some(ctrl)
 }
 
 // ---------------------------------------------------------------------
@@ -1077,28 +632,27 @@ fn build_span(
     let discards: Vec<ExprFn> = b.discards.into_iter().map(|n| lower(n, mutate)).collect();
     let leftovers: Vec<ExprFn> = b.vstack.into_iter().map(|n| lower(n, mutate)).collect();
     let need = b.len;
-    let run = bx(move |cx| {
+    let run = Box::new(move |fr: &mut Frame| {
         // Evaluate everything before touching any observable state; on
-        // any fault, deopt and let the singles replay from `head` with
-        // the interpreter's exact semantics.
-        let fr: &mut Frame = cx.frame;
+        // any fault, deopt and let the interpreter step replay from
+        // `head` with its exact semantics.
         let mut sv: [Option<Value>; MAX_STORES] = Default::default();
         for (k, (_, _, e)) in stores.iter().enumerate() {
             match e(fr, &sv) {
                 Ok(v) => sv[k] = Some(v),
-                Err(_) => return Ok(Ctrl::Deopt),
+                Err(_) => return Ctrl::Deopt,
             }
         }
         for e in &discards {
             if e(fr, &sv).is_err() {
-                return Ok(Ctrl::Deopt);
+                return Ctrl::Deopt;
             }
         }
         let mut lv: [Option<Value>; MAX_LEFTOVER] = Default::default();
         for (k, e) in leftovers.iter().enumerate() {
             match e(fr, &sv) {
                 Ok(v) => lv[k] = Some(v),
-                Err(_) => return Ok(Ctrl::Deopt),
+                Err(_) => return Ctrl::Deopt,
             }
         }
         let ctrl = match &end {
@@ -1111,17 +665,13 @@ fn build_span(
                 Ctrl::Next
             }
             EndPlan::Branch { cond, jump_if_true, keep, target, next } => {
-                let v = match cond(fr, &sv) {
-                    Ok(v) => v,
-                    Err(_) => return Ok(Ctrl::Deopt),
-                };
+                let Ok(v) = cond(fr, &sv) else { return Ctrl::Deopt };
                 fr.pc = if v.is_truthy() == *jump_if_true { *target } else { *next };
                 if *keep {
                     // Peek branches leave the condition on the stack.
                     commit(fr, &stores, &mut sv, &mut lv, leftovers.len());
                     fr.stack.push(v);
-                    *cx.ops += need as u64;
-                    return Ok(Ctrl::Next);
+                    return Ctrl::Next;
                 }
                 Ctrl::Next
             }
@@ -1131,15 +681,15 @@ fn build_span(
                     LinkPlan::Unnamed => EvalLink::Unnamed,
                     LinkPlan::Virtual => EvalLink::Virtual,
                     LinkPlan::Expr(e) => match e(fr, &sv) {
-                        Ok(v) => eval_link(v),
-                        Err(_) => return Ok(Ctrl::Deopt),
+                        Ok(v) => EvalLink::of(v),
+                        Err(_) => return Ctrl::Deopt,
                     },
                 };
                 let ln = match ln {
                     None => None,
                     Some(e) => match e(fr, &sv) {
                         Ok(v) => Some(v),
-                        Err(_) => return Ok(Ctrl::Deopt),
+                        Err(_) => return Ctrl::Deopt,
                     },
                 };
                 fr.pc = *next;
@@ -1148,8 +698,7 @@ fn build_span(
             }
         };
         commit(fr, &stores, &mut sv, &mut lv, leftovers.len());
-        *cx.ops += need as u64;
-        Ok(ctrl)
+        ctrl
     });
     Some(SpanStep { need, run })
 }
@@ -1203,8 +752,8 @@ enum RegOp {
 /// constants, then SSA temporaries. Each completed iteration charges
 /// `per_iter` ops; the final false condition charges `cond_need`.
 /// Faults restore the current iteration's stores from a snapshot and
-/// deopt with the state exactly at the loop head, so the singles replay
-/// reproduces the interpreter's fault position bit for bit.
+/// deopt with the state exactly at the loop head, so the interpreter
+/// step's replay reproduces the fault position bit for bit.
 struct LoopStep {
     /// Ops for one full iteration (cond + branch + body + backedge).
     per_iter: u32,
@@ -1500,20 +1049,12 @@ fn exec_regops(ops: &[RegOp], regs: &mut [Value]) -> Result<(), VmError> {
     Ok(())
 }
 
-enum LoopExit {
-    /// Committed work (iterations and/or the exit branch); continue
-    /// dispatching at the pc the loop set.
-    Progress,
-    /// A fault is pending at the loop head: replay on singles.
-    Deopt,
-}
-
 /// Run fused iterations until the condition goes false, the fuel budget
 /// allows no further full iteration, or a fault deopts. The caller
 /// guarantees at least one full iteration fits in the remaining fuel.
-fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<LoopExit> {
+fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<Ctrl> {
     if fr.locals.len() != lp.n_slots {
-        return None; // corrupt frame: let the singles raise the error
+        return None; // corrupt frame: let the interpreter step raise the error
     }
     let per = u64::from(lp.per_iter);
     let budget = (fuel - *ops) / per;
@@ -1543,7 +1084,7 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
         }
         write_back(fr, &mut regs);
         *ops += done * per;
-        Some(LoopExit::Deopt)
+        Some(Ctrl::Deopt)
     };
     while done < budget {
         if exec_regops(&lp.cond_ops, &mut regs).is_err() {
@@ -1553,7 +1094,7 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
             write_back(fr, &mut regs);
             *ops += done * per + u64::from(lp.cond_need);
             fr.pc = lp.exit;
-            return Some(LoopExit::Progress);
+            return Some(Ctrl::Next);
         }
         if exec_regops(&lp.body_ops, &mut regs).is_err() {
             return deopt(fr, ops, done);
@@ -1561,10 +1102,11 @@ fn run_loop(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<L
         done += 1;
     }
     // Fuel bound: the next full iteration no longer fits. Publish and
-    // let spans/singles walk into the fuel wall at the exact op.
+    // let spans and the interpreter step walk into the fuel wall at the
+    // exact op.
     write_back(fr, &mut regs);
     *ops += done * per;
-    Some(LoopExit::Progress)
+    Some(Ctrl::Next)
 }
 
 // ---------------------------------------------------------------------
@@ -1710,7 +1252,7 @@ fn exec_regops_tv(ops: &[RegOp], regs: &mut [TV]) {
 /// a value `TV` can't represent — the generic executor handles those.
 /// Fuel accounting is identical to [`run_loop`]; there is no deopt path
 /// because every typed op is total.
-fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<LoopExit> {
+fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<Ctrl> {
     if fr.locals.len() != lp.n_slots {
         return None;
     }
@@ -1742,14 +1284,14 @@ fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Op
             write_back(fr, &regs);
             *ops += done * per + u64::from(lp.cond_need);
             fr.pc = lp.exit;
-            return Some(LoopExit::Progress);
+            return Some(Ctrl::Next);
         }
         exec_regops_tv(&lp.body_ops, &mut regs);
         done += 1;
     }
     write_back(fr, &regs);
     *ops += done * per;
-    Some(LoopExit::Progress)
+    Some(Ctrl::Next)
 }
 
 /// A `Call` site fused through to a proven straight-line pure leaf
@@ -1828,8 +1370,8 @@ fn build_inline(
 /// Execute a fused callee against the caller's operand stack without
 /// consuming it. Any fault, underflow, or out-of-range index returns
 /// `None` with the stack untouched; the dispatcher then runs the real
-/// `Call` closure, whose activation-frame replay reproduces the
-/// interpreter's exact error state.
+/// `Call` through the interpreter step, whose activation-frame replay
+/// reproduces the exact error state.
 fn run_inline(il: &InlineStep, stack: &[Value]) -> Option<Value> {
     let at = stack.len().checked_sub(il.arity)?;
     let mut locals: Vec<Value> = stack[at..].to_vec();
@@ -1922,21 +1464,14 @@ fn lower(n: VNode, mutate: bool) -> ExprFn {
         VNode::MakeArr { n, default } => {
             let n = lower(*n, mutate);
             let default = lower(*default, mutate);
-            Box::new(move |f, sv| {
-                let len = n(f, sv)?.as_int()?;
-                if !(0..=(1 << 24)).contains(&len) {
-                    return Err(VmError::Native(format!("bad array size {len}")));
-                }
-                let d = default(f, sv)?;
-                Ok(Value::Arr(Arc::new(vec![d; len as usize])))
-            })
+            Box::new(move |f, sv| binop::make_arr(n(f, sv)?.as_int()?, default(f, sv)?))
         }
         VNode::IndexGet { arr, idx } => {
             let arr = lower(*arr, mutate);
             let idx = lower(*idx, mutate);
             Box::new(move |f, sv| {
                 let i = idx(f, sv)?.as_int()?;
-                index_get(&arr(f, sv)?, i)
+                binop::index_get(&arr(f, sv)?, i)
             })
         }
         VNode::IndexSet { arr, idx, val } => {
@@ -1947,7 +1482,7 @@ fn lower(n: VNode, mutate: bool) -> ExprFn {
                 let a = arr(f, sv)?;
                 let i = idx(f, sv)?.as_int()?;
                 let v = val(f, sv)?;
-                index_set(a, i, v)
+                binop::index_set(a, i, v)
             })
         }
     }

@@ -159,6 +159,17 @@ pub enum EvalLink {
     Virtual,
 }
 
+impl EvalLink {
+    /// Evaluate a link operand: a link instance, NULL (unnamed), or a name.
+    pub(crate) fn of(v: Value) -> EvalLink {
+        match v {
+            Value::Link(inst) => EvalLink::Instance(inst),
+            Value::Null => EvalLink::Unnamed,
+            v => EvalLink::Named(v),
+        }
+    }
+}
+
 /// A fully evaluated `hop`/`delete` destination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalHop {
@@ -215,7 +226,7 @@ pub enum Yield {
 }
 
 // Operator semantics (`arith`, `compare`, `neg`, `pop`, `jump`) live in
-// `crate::binop`, shared verbatim with the closure-compiled engine.
+// `crate::binop`, shared verbatim with the compiled overlay's fused code.
 use crate::binop::{arith, compare, jump, pop};
 
 /// The default fuel budget for one segment: generous enough for any of
@@ -259,278 +270,271 @@ fn run_inner(
         if *ops >= fuel {
             return Err(VmError::FuelExhausted);
         }
-        if *ops >= *next {
-            // Attribute every interval boundary the previous op crossed
-            // to the current program counter (flat profile, no stacks).
-            if let Some(f) = m.frames.last() {
-                let crossings = (*ops - *next) / interval + 1;
-                env.pc_sample(u32::from(f.func.0), f.pc, crossings);
-                *next += crossings * interval;
+        sample(m, env, *ops, next, interval);
+        if let Some(y) = step(program, m, env, ops)? {
+            return Ok(y);
+        }
+    }
+}
+
+/// Profiler hook shared by both dispatch loops: once the op counter has
+/// crossed the next sampling boundary, attribute every boundary crossed
+/// to the current program counter (flat profile, no stacks).
+#[inline]
+pub(crate) fn sample(
+    m: &MessengerState,
+    env: &mut dyn Env,
+    ops: u64,
+    next: &mut u64,
+    interval: u64,
+) {
+    if ops >= *next {
+        if let Some(f) = m.frames.last() {
+            let crossings = (ops - *next) / interval + 1;
+            env.pc_sample(u32::from(f.func.0), f.pc, crossings);
+            *next += crossings * interval;
+        }
+    }
+}
+
+fn constant(program: &Program, i: u16) -> Result<&Value, VmError> {
+    program.consts.get(i as usize).ok_or(VmError::Corrupt("constant index out of range"))
+}
+
+/// Execute the one op at the current pc — the only definition of each
+/// opcode's semantics. `compile::run` falls back to it wherever its
+/// overlay has nothing fused, and after a deopt.
+///
+/// Returns `Some` when the segment ends. Falling off the end of a
+/// function is an implicit `return NULL` and charges no op.
+///
+/// # Errors
+///
+/// Any [`VmError`]; the pc has already advanced past the faulting op.
+pub(crate) fn step(
+    program: &Program,
+    m: &mut MessengerState,
+    env: &mut dyn Env,
+    ops: &mut u64,
+) -> Result<Option<Yield>, VmError> {
+    let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
+    let func = program.func(frame.func);
+    if frame.pc as usize >= func.code.len() {
+        m.frames.pop();
+        return Ok(match m.frames.last_mut() {
+            None => Some(Yield::Terminated(Value::Null)),
+            Some(caller) => {
+                caller.stack.push(Value::Null);
+                None
+            }
+        });
+    }
+    let op = func.code[frame.pc as usize];
+    frame.pc += 1;
+    *ops += 1;
+    match op {
+        Op::Const(i) => frame.stack.push(constant(program, i)?.clone()),
+        Op::LoadLocal(i) => {
+            let v = frame
+                .locals
+                .get(i as usize)
+                .ok_or(VmError::Corrupt("local slot out of range"))?
+                .clone();
+            frame.stack.push(v);
+        }
+        Op::StoreLocal(i) => {
+            let v = pop(&mut frame.stack)?;
+            let slot = frame
+                .locals
+                .get_mut(i as usize)
+                .ok_or(VmError::Corrupt("local slot out of range"))?;
+            *slot = v;
+        }
+        Op::LoadNode(i) => {
+            let v = env.node_var(constant(program, i)?.as_str()?);
+            frame.stack.push(v);
+        }
+        Op::StoreNode(i) => {
+            let v = pop(&mut frame.stack)?;
+            env.set_node_var(constant(program, i)?.as_str()?, v);
+        }
+        Op::LoadNet(var) => {
+            let v = match var {
+                NetVar::Time => Value::Float(m.vtime.as_f64()),
+                other => env.net_var(other),
+            };
+            frame.stack.push(v);
+        }
+        Op::Dup => {
+            let v = frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
+            frame.stack.push(v);
+        }
+        Op::Pop => {
+            pop(&mut frame.stack)?;
+        }
+        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod => {
+            let b = pop(&mut frame.stack)?;
+            let a = pop(&mut frame.stack)?;
+            frame.stack.push(arith(&op, a, b)?);
+        }
+        Op::Neg => {
+            let a = pop(&mut frame.stack)?;
+            frame.stack.push(crate::binop::neg(a)?);
+        }
+        Op::Not => {
+            let a = pop(&mut frame.stack)?;
+            frame.stack.push(Value::Bool(!a.is_truthy()));
+        }
+        Op::Eq | Op::Ne => {
+            let b = pop(&mut frame.stack)?;
+            let a = pop(&mut frame.stack)?;
+            let eq = a.loose_eq(&b);
+            frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
+        }
+        Op::Lt | Op::Le | Op::Gt | Op::Ge => {
+            let b = pop(&mut frame.stack)?;
+            let a = pop(&mut frame.stack)?;
+            frame.stack.push(compare(&op, &a, &b)?);
+        }
+        Op::Jump(off) => frame.pc = jump(frame.pc, off),
+        Op::JumpIfFalse(off) => {
+            let v = pop(&mut frame.stack)?;
+            if !v.is_truthy() {
+                frame.pc = jump(frame.pc, off);
             }
         }
-        let frame = m.frames.last_mut().ok_or(VmError::Corrupt("no active frame"))?;
-        let func = program.func(frame.func);
-        // Falling off the end of a function is an implicit `return NULL`.
-        if frame.pc as usize >= func.code.len() {
+        Op::JumpIfTruePeek(off) => {
+            let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
+            if v.is_truthy() {
+                frame.pc = jump(frame.pc, off);
+            }
+        }
+        Op::JumpIfFalsePeek(off) => {
+            let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
+            if !v.is_truthy() {
+                frame.pc = jump(frame.pc, off);
+            }
+        }
+        Op::Call { f, argc } => {
+            let at = frame
+                .stack
+                .len()
+                .checked_sub(argc as usize)
+                .ok_or(VmError::Corrupt("call args underflow"))?;
+            let args: Vec<Value> = frame.stack.split_off(at);
+            let callee = crate::bytecode::FuncId(f);
+            if (f as usize) >= program.funcs.len() {
+                return Err(VmError::Corrupt("call target out of range"));
+            }
+            let new_frame = Frame::activate(program, callee, &args)?;
+            m.frames.push(new_frame);
+        }
+        Op::CallNative { name, argc } => {
+            let at = frame
+                .stack
+                .len()
+                .checked_sub(argc as usize)
+                .ok_or(VmError::Corrupt("native args underflow"))?;
+            let args: Vec<Value> = frame.stack.split_off(at);
+            let v = env.call_native(constant(program, name)?.as_str()?, &args)?;
+            frame.stack.push(v);
+        }
+        Op::Ret => {
+            let v = pop(&mut frame.stack)?;
             m.frames.pop();
             match m.frames.last_mut() {
-                None => return Ok(Yield::Terminated(Value::Null)),
-                Some(caller) => {
-                    caller.stack.push(Value::Null);
-                    continue;
-                }
+                None => return Ok(Some(Yield::Terminated(v))),
+                Some(caller) => caller.stack.push(v),
             }
         }
-        let op = func.code[frame.pc as usize];
-        frame.pc += 1;
-        *ops += 1;
-        match op {
-            Op::Const(i) => {
-                let v = program
-                    .consts
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("constant index out of range"))?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::LoadLocal(i) => {
-                let v = frame
-                    .locals
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::StoreLocal(i) => {
-                let v = pop(&mut frame.stack)?;
-                let slot = frame
-                    .locals
-                    .get_mut(i as usize)
-                    .ok_or(VmError::Corrupt("local slot out of range"))?;
-                *slot = v;
-            }
-            Op::LoadNode(i) => {
-                let name = program.consts[i as usize].as_str()?.to_string();
-                let v = env.node_var(&name);
-                m.frames.last_mut().unwrap().stack.push(v);
-            }
-            Op::StoreNode(i) => {
-                let v = pop(&mut frame.stack)?;
-                let name = program.consts[i as usize].as_str()?.to_string();
-                env.set_node_var(&name, v);
-            }
-            Op::LoadNet(var) => {
-                let v = match var {
-                    NetVar::Time => Value::Float(m.vtime.as_f64()),
-                    other => env.net_var(other),
-                };
-                m.frames.last_mut().unwrap().stack.push(v);
-            }
-            Op::Dup => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("dup on empty stack"))?.clone();
-                frame.stack.push(v);
-            }
-            Op::Pop => {
-                pop(&mut frame.stack)?;
-            }
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod => {
-                let b = pop(&mut frame.stack)?;
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(arith(&op, a, b)?);
-            }
-            Op::Neg => {
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(crate::binop::neg(a)?);
-            }
-            Op::Not => {
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(Value::Bool(!a.is_truthy()));
-            }
-            Op::Eq | Op::Ne => {
-                let b = pop(&mut frame.stack)?;
-                let a = pop(&mut frame.stack)?;
-                let eq = a.loose_eq(&b);
-                frame.stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
-            }
-            Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-                let b = pop(&mut frame.stack)?;
-                let a = pop(&mut frame.stack)?;
-                frame.stack.push(compare(&op, &a, &b)?);
-            }
-            Op::Jump(off) => frame.pc = jump(frame.pc, off),
-            Op::JumpIfFalse(off) => {
-                let v = pop(&mut frame.stack)?;
-                if !v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::JumpIfTruePeek(off) => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::JumpIfFalsePeek(off) => {
-                let v = frame.stack.last().ok_or(VmError::Corrupt("peek on empty stack"))?;
-                if !v.is_truthy() {
-                    frame.pc = jump(frame.pc, off);
-                }
-            }
-            Op::Call { f, argc } => {
-                let at = frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("call args underflow"))?;
-                let args: Vec<Value> = frame.stack.split_off(at);
-                let callee = crate::bytecode::FuncId(f);
-                if (f as usize) >= program.funcs.len() {
-                    return Err(VmError::Corrupt("call target out of range"));
-                }
-                let new_frame = Frame::activate(program, callee, &args)?;
-                m.frames.push(new_frame);
-            }
-            Op::CallNative { name, argc } => {
-                let at = frame
-                    .stack
-                    .len()
-                    .checked_sub(argc as usize)
-                    .ok_or(VmError::Corrupt("native args underflow"))?;
-                let args: Vec<Value> = frame.stack.split_off(at);
-                let name = program.consts[name as usize].as_str()?.to_string();
-                let v = env.call_native(&name, &args)?;
-                m.frames.last_mut().unwrap().stack.push(v);
-            }
-            Op::Ret => {
-                let v = pop(&mut frame.stack)?;
-                m.frames.pop();
-                match m.frames.last_mut() {
-                    None => return Ok(Yield::Terminated(v)),
-                    Some(caller) => caller.stack.push(v),
-                }
-            }
-            Op::Hop(i) | Op::Delete(i) => {
-                let spec = *program
-                    .hop_specs
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("hop spec out of range"))?;
-                // Operands were pushed ln-then-ll; pop in reverse.
-                let ll = match spec.ll {
+        Op::Hop(i) | Op::Delete(i) => {
+            let spec = *program
+                .hop_specs
+                .get(i as usize)
+                .ok_or(VmError::Corrupt("hop spec out of range"))?;
+            // Operands were pushed ln-then-ll; pop in reverse.
+            let ll = match spec.ll {
+                LinkPat::Wild => EvalLink::Wild,
+                LinkPat::Unnamed => EvalLink::Unnamed,
+                LinkPat::Virtual => EvalLink::Virtual,
+                LinkPat::Expr => EvalLink::of(pop(&mut frame.stack)?),
+            };
+            let ln = match spec.ln {
+                NodePat::Wild => None,
+                NodePat::Expr => Some(pop(&mut frame.stack)?),
+            };
+            let eh = EvalHop { ln, ll, ldir: spec.ldir };
+            return Ok(Some(if matches!(op, Op::Hop(_)) {
+                Yield::Hop(eh)
+            } else {
+                Yield::Delete(eh)
+            }));
+        }
+        Op::Create(i) => {
+            let spec = program
+                .create_specs
+                .get(i as usize)
+                .ok_or(VmError::Corrupt("create spec out of range"))?;
+            // Operands pushed per item in order (ln, ll, dn, dl);
+            // pop everything in reverse.
+            let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
+            for it in spec.items.iter().rev() {
+                let dl = match it.dl {
                     LinkPat::Wild => EvalLink::Wild,
                     LinkPat::Unnamed => EvalLink::Unnamed,
                     LinkPat::Virtual => EvalLink::Virtual,
-                    LinkPat::Expr => match pop(&mut frame.stack)? {
-                        Value::Link(inst) => EvalLink::Instance(inst),
-                        Value::Null => EvalLink::Unnamed,
-                        v => EvalLink::Named(v),
-                    },
+                    LinkPat::Expr => EvalLink::of(pop(&mut frame.stack)?),
                 };
-                let ln = match spec.ln {
+                let dn = match it.dn {
                     NodePat::Wild => None,
                     NodePat::Expr => Some(pop(&mut frame.stack)?),
                 };
-                let eh = EvalHop { ln, ll, ldir: spec.ldir };
-                return Ok(if matches!(op, Op::Hop(_)) {
-                    Yield::Hop(eh)
-                } else {
-                    Yield::Delete(eh)
-                });
-            }
-            Op::Create(i) => {
-                let spec = program
-                    .create_specs
-                    .get(i as usize)
-                    .ok_or(VmError::Corrupt("create spec out of range"))?
-                    .clone();
-                // Operands pushed per item in order (ln, ll, dn, dl);
-                // pop everything in reverse.
-                let mut items: Vec<EvalCreateItem> = Vec::with_capacity(spec.items.len());
-                for it in spec.items.iter().rev() {
-                    let dl = match it.dl {
-                        LinkPat::Wild => EvalLink::Wild,
-                        LinkPat::Unnamed => EvalLink::Unnamed,
-                        LinkPat::Virtual => EvalLink::Virtual,
-                        LinkPat::Expr => match pop(&mut frame.stack)? {
-                            Value::Link(inst) => EvalLink::Instance(inst),
-                            Value::Null => EvalLink::Unnamed,
-                            v => EvalLink::Named(v),
-                        },
-                    };
-                    let dn = match it.dn {
-                        NodePat::Wild => None,
-                        NodePat::Expr => Some(pop(&mut frame.stack)?),
-                    };
-                    let ll = match it.ll {
-                        NamePat::Unnamed => None,
-                        NamePat::Expr => Some(pop(&mut frame.stack)?),
-                    };
-                    let ln = match it.ln {
-                        NamePat::Unnamed => None,
-                        NamePat::Expr => Some(pop(&mut frame.stack)?),
-                    };
-                    items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
-                }
-                items.reverse();
-                return Ok(Yield::Create(EvalCreate { items, all: spec.all }));
-            }
-            Op::SchedAbs => {
-                let t = pop(&mut frame.stack)?.as_float()?;
-                if t.is_nan() {
-                    return Err(VmError::Corrupt("NaN virtual time"));
-                }
-                return Ok(Yield::SchedAbs(Vt::new(t)));
-            }
-            Op::SchedDlt => {
-                let dt = pop(&mut frame.stack)?.as_float()?;
-                if dt.is_nan() {
-                    return Err(VmError::Corrupt("NaN virtual time"));
-                }
-                return Ok(Yield::SchedDlt(dt));
-            }
-            Op::Halt => return Ok(Yield::Terminated(Value::Null)),
-            Op::MakeArr => {
-                let default = pop(&mut frame.stack)?;
-                let n = pop(&mut frame.stack)?.as_int()?;
-                if !(0..=(1 << 24)).contains(&n) {
-                    return Err(VmError::Native(format!("bad array size {n}")));
-                }
-                frame.stack.push(Value::Arr(std::sync::Arc::new(vec![default; n as usize])));
-            }
-            Op::IndexGet => {
-                let idx = pop(&mut frame.stack)?.as_int()?;
-                let arr = pop(&mut frame.stack)?;
-                let arr = arr.as_array()?;
-                let v =
-                    arr.get(usize::try_from(idx).map_err(|_| {
-                        VmError::Native(format!("array index {idx} out of bounds"))
-                    })?)
-                    .ok_or_else(|| {
-                        VmError::Native(format!(
-                            "array index {idx} out of bounds (len {})",
-                            arr.len()
-                        ))
-                    })?
-                    .clone();
-                frame.stack.push(v);
-            }
-            Op::IndexSet => {
-                let value = pop(&mut frame.stack)?;
-                let idx = pop(&mut frame.stack)?.as_int()?;
-                let mut arr = match pop(&mut frame.stack)? {
-                    Value::Arr(a) => a,
-                    other => return Err(VmError::type_error("array", &other)),
+                let ll = match it.ll {
+                    NamePat::Unnamed => None,
+                    NamePat::Expr => Some(pop(&mut frame.stack)?),
                 };
-                let len = arr.len();
-                let slot = std::sync::Arc::make_mut(&mut arr)
-                    .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
-                    .ok_or_else(|| {
-                        VmError::Native(format!("array index {idx} out of bounds (len {len})"))
-                    })?;
-                *slot = value;
-                frame.stack.push(Value::Arr(arr));
+                let ln = match it.ln {
+                    NamePat::Unnamed => None,
+                    NamePat::Expr => Some(pop(&mut frame.stack)?),
+                };
+                items.push(EvalCreateItem { ln, ll, ldir: it.ldir, dn, dl, ddir: it.ddir });
             }
+            items.reverse();
+            return Ok(Some(Yield::Create(EvalCreate { items, all: spec.all })));
+        }
+        Op::SchedAbs => {
+            let t = pop(&mut frame.stack)?.as_float()?;
+            if t.is_nan() {
+                return Err(VmError::Corrupt("NaN virtual time"));
+            }
+            return Ok(Some(Yield::SchedAbs(Vt::new(t))));
+        }
+        Op::SchedDlt => {
+            let dt = pop(&mut frame.stack)?.as_float()?;
+            if dt.is_nan() {
+                return Err(VmError::Corrupt("NaN virtual time"));
+            }
+            return Ok(Some(Yield::SchedDlt(dt)));
+        }
+        Op::Halt => return Ok(Some(Yield::Terminated(Value::Null))),
+        Op::MakeArr => {
+            let default = pop(&mut frame.stack)?;
+            let n = pop(&mut frame.stack)?.as_int()?;
+            frame.stack.push(crate::binop::make_arr(n, default)?);
+        }
+        Op::IndexGet => {
+            let idx = pop(&mut frame.stack)?.as_int()?;
+            let arr = pop(&mut frame.stack)?;
+            frame.stack.push(crate::binop::index_get(&arr, idx)?);
+        }
+        Op::IndexSet => {
+            let value = pop(&mut frame.stack)?;
+            let idx = pop(&mut frame.stack)?.as_int()?;
+            let arr = pop(&mut frame.stack)?;
+            frame.stack.push(crate::binop::index_set(arr, idx, value)?);
         }
     }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -923,5 +927,28 @@ mod tests {
         let b = Builder::new();
         let e = run_main(vec![Op::Const(999), Op::Ret], b).unwrap_err();
         assert!(matches!(e, VmError::Corrupt(_)));
+    }
+
+    /// Run `code` and require the constant-index fault, not a panic.
+    fn assert_bad_constant(code: Vec<Op>) {
+        let mut b = Builder::new();
+        b.constant(Value::Int(0));
+        let e = run_main(code, b).unwrap_err();
+        assert_eq!(e, VmError::Corrupt("constant index out of range"));
+    }
+
+    #[test]
+    fn load_node_with_bad_constant_index_is_corrupt() {
+        assert_bad_constant(vec![Op::LoadNode(7), Op::Ret]);
+    }
+
+    #[test]
+    fn store_node_with_bad_constant_index_is_corrupt() {
+        assert_bad_constant(vec![Op::Const(0), Op::StoreNode(7), Op::Halt]);
+    }
+
+    #[test]
+    fn call_native_with_bad_constant_index_is_corrupt() {
+        assert_bad_constant(vec![Op::Const(0), Op::CallNative { name: 7, argc: 1 }, Op::Ret]);
     }
 }

@@ -20,6 +20,9 @@
 //! state, transferring it) is the daemon's job — see `msgr-core`. This
 //! mirrors the paper's non-preemptive scheduling policy: "a daemon will
 //! interrupt a Messenger only when it issues a navigational command".
+//! Daemons run [`compile::run`]: the same interpreter step, with a
+//! compiled overlay of fused spans, loops and inlined calls consulted at
+//! each pc; `interp::run` stays as its differential reference.
 //!
 //! ## Example: hand-assembled program
 //!

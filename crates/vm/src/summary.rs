@@ -2,7 +2,7 @@
 //!
 //! A [`FnSummary`] is the analyzer's whole-program verdict about one
 //! function: how it navigates, which node variables it touches, whether
-//! it calls natives, and the fuel facts the closure compiler may trust
+//! it calls natives, and the fuel facts the overlay compiler may trust
 //! (`exact_ops`, `pure_loops`). The types live here — not in
 //! `msgr-analyze` — because the compiler consumes them and must not
 //! depend on the analyzer crate; `msgr-analyze::summarize` produces

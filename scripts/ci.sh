@@ -115,21 +115,14 @@ for ev in hop retransmit checkpoint restore; do
 done
 echo "ok: chaos trace is schema-valid, complete, and reproducible"
 
-echo "== compiled execution: CLI run + ablation smoke (BENCH_0007) =="
-# The closure-compiled engine must be observationally identical to the
-# interpreter: the 256-case differential suite (crates/vm/tests/
-# diff_props.rs) and the cross-engine goldens already ran with the
-# workspace tests above. Here the CLI plumbing gets a real run
-# (--exec compiled, then the MSGR_EXEC override), the tier-1 app
-# tests and goldens re-run once entirely on the compiled engine, and
-# the compile-vs-interp ablation runs in smoke mode with its output
-# schema-validated (committed BENCH_0007.json: bench-artifact sweep).
-MSGR_EXEC=compiled cargo test -q --offline -p msgr-apps
-MSGR_EXEC=compiled cargo test -q --offline --test determinism
+echo "== execution: CLI run + overlay-vs-interpreter ablation smoke (BENCH_0007) =="
+# Daemons always run the interpreter with the compiled overlay, so every
+# test above already exercised it; the 256-case differential suite
+# (crates/vm/tests/diff_props.rs) holds it to the bare interpreter. Here
+# the CLI gets one real run, and the in-process overlay-vs-interpreter
+# ablation runs in smoke mode with its output schema-validated
+# (committed BENCH_0007.json: bench-artifact sweep).
 ./target/release/msgr run examples/scripts/walker.mc \
-    --topology examples/scripts/ring.topo --daemons 4 --inject r0:2 \
-    --seed 7 --exec compiled >/dev/null
-MSGR_EXEC=compiled ./target/release/msgr run examples/scripts/walker.mc \
     --topology examples/scripts/ring.topo --daemons 4 --inject r0:2 \
     --seed 7 >/dev/null
 cargo build --release --offline -p msgr-bench --bin ablation_compile
@@ -137,14 +130,14 @@ compile_dir="$(mktemp -d)"
 ./target/release/ablation_compile --smoke > "$compile_dir/BENCH_0007.smoke.json"
 ./target/release/ablation_compile --check "$compile_dir/BENCH_0007.smoke.json"
 rm -rf "$compile_dir"
-echo "ok: compiled engine ran end to end, smoke schema-valid"
+echo "ok: CLI ran end to end, overlay smoke schema-valid"
 
 echo "== analysis: interprocedural summaries end to end (BENCH_0008) =="
 # The whole-program effect analysis: (a) both paper apps must be clean
 # under the interprocedural lint family, checked through the
 # machine-readable --json face (which doubles as its schema check);
 # (b) summaries must be stable across a wire-codec roundtrip and the
-# summary-guided engine bit-equal to the interpreter (the vm property
+# summary-guided overlay bit-equal to the interpreter (the vm property
 # suite); (c) the summaries ablation runs in smoke mode with analysis
 # enabled and its output schema-validated (committed BENCH_0008.json:
 # bench-artifact sweep below).
@@ -180,7 +173,7 @@ echo "== profile: cost attribution end to end (BENCH_0010) =="
 # profiler events, and `msgr profile` refuses them with exit 1; (d) a
 # truncated flight recorder makes `msgr trace summary` exit 1. The
 # profile ablation then runs in smoke mode, whose schema bounds the
-# measured profiling overhead at <=5% on interpreter cells.
+# measured profiling overhead at <=5%.
 prof_dir="$(mktemp -d)"
 prof_run() { # $1 = out.jsonl, $2... = extra flags
     local out="$1"; shift

@@ -21,9 +21,6 @@
 //!     --seed N             RNG seed (default 0x5EED); same seed + same
 //!                          flags ⇒ bit-identical run and trace
 //!     --trace FILE         record the flight-recorder trace as JSONL
-//!     --exec MODE          execution engine: `interp` (default) or
-//!                          `compiled` (closure-compiled superinstruction
-//!                          dispatch; identical results, faster wall clock)
 //!     --faults SPEC        inject faults (simulator only); SPEC is a
 //!                          comma list of drop=P, dup=P, reorder=P,
 //!                          kill=HOST@MS (permanent death + failover) and
@@ -64,9 +61,7 @@
 use std::process::ExitCode;
 
 use messengers::core::topology::LogicalTopology;
-use messengers::core::{
-    ClusterConfig, ExecMode, SimCluster, Succession, ThreadCluster, Trace, TraceConfig,
-};
+use messengers::core::{ClusterConfig, SimCluster, Succession, ThreadCluster, Trace, TraceConfig};
 use messengers::sim::{CrashEvent, FaultPlan, MILLI};
 use messengers::vm::Value;
 
@@ -418,7 +413,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
     let mut faults = FaultPlan::none();
     let mut seed: Option<u64> = None;
     let mut trace_out: Option<String> = None;
-    let mut exec: Option<ExecMode> = None;
     let mut replication: Option<usize> = None;
     let mut succession: Option<Succession> = None;
     let mut profile = false;
@@ -466,12 +460,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
                 }
                 "--trace" => trace_out = Some(take("a file")?),
                 "--profile" => profile = true,
-                "--exec" => {
-                    let mode = take("`interp` or `compiled`")?;
-                    exec = Some(
-                        ExecMode::parse(&mode).ok_or_else(|| format!("bad exec mode `{mode}`"))?,
-                    );
-                }
                 "--replication" => {
                     let k: usize = take("a replication factor")?
                         .parse()
@@ -590,9 +578,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         if let Some(s) = seed {
             cfg.seed = s;
         }
-        if let Some(m) = exec {
-            cfg.exec = m;
-        }
         if trace_out.is_some() {
             cfg.trace = TraceConfig::on();
         }
@@ -608,9 +593,6 @@ fn run(source: &str, opts: &[String]) -> ExitCode {
         cfg.faults = faults;
         if let Some(s) = seed {
             cfg.seed = s;
-        }
-        if let Some(m) = exec {
-            cfg.exec = m;
         }
         if let Some(k) = replication {
             cfg.replication = k;

@@ -10,7 +10,7 @@ use messengers::apps::calib::Calib;
 use messengers::apps::mandel::{MandelScene, MandelWork};
 use messengers::apps::matmul::{test_matrix, MatmulScene};
 use messengers::apps::{mandel_msgr, matmul_msgr};
-use messengers::core::{ClusterConfig, ExecMode};
+use messengers::core::ClusterConfig;
 use msgr_sim::{CrashEvent, FaultPlan, Stats, MILLI};
 
 fn counters(stats: &Stats) -> Vec<(&'static str, u64)> {
@@ -113,10 +113,12 @@ fn mandel_matches_pre_lanes_golden() {
     // Counter-FNV re-captured again in the interprocedural-analysis PR
     // for the same reason: the registry now reports `analysis_*`
     // counters (summaries, inlined calls, typed loops, elided
-    // snapshots), also charged at register time in both exec modes —
-    // `exec_mode_never_changes_sim_traces` still proves the merged
-    // counter set is engine-independent. Checksum and simulated
+    // snapshots), also charged at register time. Checksum and simulated
     // seconds are unchanged.
+    //
+    // Daemons now always execute through the compiled overlay; this
+    // golden (pinned under the plain interpreter) holding bit for bit
+    // is the end-to-end proof that the overlay is not observable.
     let calib = Calib::default();
     let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
     let mut cfg = ClusterConfig::new(4);
@@ -148,90 +150,6 @@ fn matmul_matches_pre_lanes_golden() {
     }
     assert_eq!(ph, 0xcb4ff733ed730fb1, "product bits drifted from baseline");
     assert_eq!(r.seconds.to_bits(), 0x3faeb851eb851eb8, "simulated seconds drifted from baseline");
-}
-
-#[test]
-fn mandel_golden_holds_under_compiled_execution() {
-    // The closure-compiled engine is an execution strategy, never an
-    // observable behavior change: with `exec = Compiled` the mandel run
-    // must reproduce the *same* pinned golden as the interpreter —
-    // image checksum, f64 simulated time, and the counter FNV (the
-    // `compile_*` counters are charged at register time in both modes,
-    // so even those agree).
-    let calib = Calib::default();
-    let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
-    let mut cfg = ClusterConfig::new(4);
-    cfg.seed = 42;
-    cfg.exec = ExecMode::Compiled;
-    let run = mandel_msgr::run_sim(&work, 4, &calib, cfg).expect("run");
-    assert_eq!(run.checksum, 7379371940502171737, "compiled image checksum diverged from interp");
-    assert_eq!(
-        run.seconds.to_bits(),
-        0x3fb6a77a57dfe5d9,
-        "compiled simulated seconds diverged from interp"
-    );
-    assert_eq!(counters_fnv(&run.stats), 0xd7c7ec2c7196d384, "compiled counters diverged");
-    assert!(run.stats.counter("compile_programs") > 0, "registry must have compiled the program");
-}
-
-#[test]
-fn matmul_golden_holds_under_compiled_execution() {
-    // Companion to `mandel_golden_holds_under_compiled_execution`: the
-    // matmul product bits and simulated time pinned by
-    // `matmul_matches_pre_lanes_golden` must be engine-independent.
-    let calib = Calib::default();
-    let scene = MatmulScene::new(2, 16);
-    let a = test_matrix(scene.n(), 1);
-    let b = test_matrix(scene.n(), 2);
-    let mut cfg = ClusterConfig::new(4);
-    cfg.seed = 7;
-    cfg.exec = ExecMode::Compiled;
-    let r = matmul_msgr::run_sim(scene, &a, &b, &calib, cfg).expect("run");
-    let mut ph: u64 = 0xcbf29ce484222325;
-    for f in r.product.as_slice() {
-        fnv1a(&mut ph, f.to_bits().to_le_bytes());
-    }
-    assert_eq!(ph, 0xcb4ff733ed730fb1, "compiled product bits diverged from interp");
-    assert_eq!(
-        r.seconds.to_bits(),
-        0x3faeb851eb851eb8,
-        "compiled simulated seconds diverged from interp"
-    );
-}
-
-#[test]
-fn exec_mode_never_changes_sim_traces() {
-    // Strongest cross-engine check: with tracing on, the merged
-    // flight-recorder JSONL of a same-seed run must be byte-identical
-    // at `--exec interp` and `--exec compiled`. Every hop, park,
-    // segment boundary, and vtime in the causal record — and even the
-    // register-time compile events — must agree, or the compiled
-    // engine has observably changed the program.
-    let calib = Calib::default();
-    let work = Arc::new(MandelWork::compute(MandelScene::paper(64, 4)));
-    let run = |exec: ExecMode| {
-        let mut cfg = ClusterConfig::new(4);
-        cfg.seed = 42;
-        cfg.exec = exec;
-        cfg.trace = messengers::core::TraceConfig::on();
-        mandel_msgr::run_sim(&work, 4, &calib, cfg).expect("run")
-    };
-    let interp = run(ExecMode::Interp);
-    let compiled = run(ExecMode::Compiled);
-    assert_eq!(interp.checksum, compiled.checksum, "image must be engine-independent");
-    assert_eq!(
-        interp.seconds.to_bits(),
-        compiled.seconds.to_bits(),
-        "simulated time must be engine-independent"
-    );
-    assert_eq!(
-        counters(&interp.stats),
-        counters(&compiled.stats),
-        "counters must be engine-independent"
-    );
-    let a = interp.trace.as_ref().expect("trace enabled").to_jsonl();
-    let b = compiled.trace.as_ref().expect("trace enabled").to_jsonl();
-    assert!(a == b, "merged trace JSONL differs between interp and compiled execution");
 }
 
 #[test]
