@@ -20,9 +20,9 @@
 //!    `M_sched_time_abs(k + 0.5)`.
 
 use msgr_core::topology::LogicalTopology;
-use msgr_core::{ClusterConfig, ClusterError, SimCluster};
+use msgr_core::{ClusterConfig, ClusterError, SimCluster, ThreadCluster};
 use msgr_sim::Stats;
-use msgr_vm::{Matrix, Value};
+use msgr_vm::{Matrix, MessengerId, NativeCtx, Program, ProgramId, Value};
 
 use crate::calib::Calib;
 use crate::matmul::{BlockedLayout, MatmulScene};
@@ -56,7 +56,8 @@ rotate_B(s, m, i, j) {
 /// Outcome of a MESSENGERS matmul run.
 #[derive(Debug, Clone)]
 pub struct MatmulRun {
-    /// Simulated seconds.
+    /// Runtime in seconds (simulated for [`run_sim`], wall-clock for
+    /// [`run_threads`]).
     pub seconds: f64,
     /// The assembled product matrix.
     pub product: Matrix,
@@ -64,6 +65,130 @@ pub struct MatmulRun {
     pub stats: Stats,
     /// Merged flight-recorder trace (present iff `cfg.trace.enabled`).
     pub trace: Option<msgr_core::Trace>,
+}
+
+/// `copy_block(blk)`: a deep copy, charged as about one memcpy.
+fn copy_block(
+    calib: Calib,
+) -> impl Fn(&mut dyn NativeCtx, &[Value]) -> Result<Value, String> + Send + Sync {
+    move |ctx, args| {
+        let v = args.first().ok_or("copy_block needs an argument")?;
+        let mat = v.as_matrix().map_err(|e| e.to_string())?;
+        ctx.charge(mat.wire_bytes() * calib.flop_ns as u64 / 55);
+        Ok(Value::Mat(mat.deep_copy()))
+    }
+}
+
+/// `block_multiply(msgr_B, curr_A, C)` (Fig. 11 argument order):
+/// computes `C + curr_A · msgr_B`.
+fn block_multiply(
+    calib: Calib,
+) -> impl Fn(&mut dyn NativeCtx, &[Value]) -> Result<Value, String> + Send + Sync {
+    move |ctx, args| {
+        let b_blk = args[0].as_matrix().map_err(|e| e.to_string())?;
+        // Under optimistic execution a premature multiply may see a
+        // not-yet-written curr_A (NULL); compute with zeros — the
+        // straggler write will roll this event back and redo it.
+        let zero_a;
+        let a_blk = match &args[1] {
+            Value::Mat(a) => a,
+            Value::Null => {
+                zero_a = Matrix::zeros(b_blk.rows(), b_blk.rows());
+                &zero_a
+            }
+            other => return Err(format!("A must be a block, got {}", other.type_name())),
+        };
+        let mut c_blk = match &args[2] {
+            Value::Mat(c) => c.clone(),
+            Value::Null => Matrix::zeros(a_blk.rows(), b_blk.cols()),
+            other => return Err(format!("C must be a block, got {}", other.type_name())),
+        };
+        ctx.charge(calib.block_multiply_ns(a_blk.rows()));
+        crate::matmul::multiply_accumulate(&mut c_blk, a_blk, b_blk);
+        Ok(Value::Mat(c_blk))
+    }
+}
+
+fn grid_node(i: u32, j: u32) -> Value {
+    Value::str(format!("{i},{j}"))
+}
+
+/// Pre-distribute the resident blocks ("we assume that the matrices are
+/// already distributed over the network", §3.2) and zero C.
+fn distribute(
+    scene: MatmulScene,
+    a: &Matrix,
+    b: &Matrix,
+    mut set: impl FnMut(&Value, &str, Value) -> Result<(), ClusterError>,
+) -> Result<(), ClusterError> {
+    let layout = BlockedLayout::new(scene);
+    for i in 0..scene.m {
+        for j in 0..scene.m {
+            let node = grid_node(i, j);
+            set(&node, "resid_A", Value::Mat(layout.block(a, i, j)))?;
+            set(&node, "resid_B", Value::Mat(layout.block(b, i, j)))?;
+            set(&node, "C", Value::Mat(Matrix::zeros(scene.s, scene.s)))?;
+        }
+    }
+    Ok(())
+}
+
+/// The two Fig. 11 programs: `(distribute_A, rotate_B)`.
+fn scripts() -> (Program, Program) {
+    let dist = msgr_lang::compile_with_entry(MATMUL_SCRIPTS, "distribute_A")
+        .expect("distribute_A compiles");
+    let rot = msgr_lang::compile_with_entry(MATMUL_SCRIPTS, "rotate_B").expect("rotate_B compiles");
+    (dist, rot)
+}
+
+/// Inject one `distribute_A` and one `rotate_B` at every grid node.
+fn inject_all(
+    scene: MatmulScene,
+    (dist, rot): (ProgramId, ProgramId),
+    mut inject: impl FnMut(&Value, ProgramId, &[Value]) -> Result<MessengerId, ClusterError>,
+) -> Result<(), ClusterError> {
+    for i in 0..scene.m {
+        for j in 0..scene.m {
+            let node = grid_node(i, j);
+            let args = [
+                Value::Int(scene.s as i64),
+                Value::Int(scene.m as i64),
+                Value::Int(i as i64),
+                Value::Int(j as i64),
+            ];
+            inject(&node, dist, &args)?;
+            inject(&node, rot, &args)?;
+        }
+    }
+    Ok(())
+}
+
+/// Fail on the first fault, else assemble the product from every
+/// node's `C`.
+fn product(
+    scene: MatmulScene,
+    faults: &[(MessengerId, String)],
+    get: impl Fn(&Value) -> Option<Value>,
+) -> Result<Matrix, ClusterError> {
+    if let Some((mid, err)) = faults.first() {
+        return Err(ClusterError::Config(format!("messenger {mid} faulted: {err}")));
+    }
+    let mut blocks = Vec::with_capacity((scene.m * scene.m) as usize);
+    for i in 0..scene.m {
+        for j in 0..scene.m {
+            let node = grid_node(i, j);
+            match get(&node).ok_or_else(|| ClusterError::NotFound(format!("C at {node}")))? {
+                Value::Mat(mat) => blocks.push(mat),
+                other => {
+                    return Err(ClusterError::Config(format!(
+                        "C at {node} is {}, expected block",
+                        other.type_name()
+                    )))
+                }
+            }
+        }
+    }
+    Ok(BlockedLayout::new(scene).assemble(&blocks))
 }
 
 /// Run the Fig. 11 program: `m × m` grid on `cfg.daemons` daemons
@@ -79,107 +204,54 @@ pub fn run_sim(
     calib: &Calib,
     cfg: ClusterConfig,
 ) -> Result<MatmulRun, ClusterError> {
-    let m = scene.m;
-    let s = scene.s;
-    let layout = BlockedLayout::new(scene);
     let mut cluster = SimCluster::new(cfg);
-
-    {
-        let calib = *calib;
-        cluster.register_native("copy_block", move |ctx, args| {
-            let v = args.first().ok_or("copy_block needs an argument")?;
-            let mat = v.as_matrix().map_err(|e| e.to_string())?;
-            ctx.charge(mat.wire_bytes() * calib.flop_ns as u64 / 55); // ~1 memcpy
-            Ok(Value::Mat(mat.deep_copy()))
-        });
-    }
-    {
-        let calib = *calib;
-        cluster.register_native("block_multiply", move |ctx, args| {
-            // Script order (Fig. 11): block_multiply(msgr_B, curr_A, C)
-            // computes C + curr_A · msgr_B.
-            let b_blk = args[0].as_matrix().map_err(|e| e.to_string())?;
-            // Under optimistic execution a premature multiply may see a
-            // not-yet-written curr_A (NULL); compute with zeros — the
-            // straggler write will roll this event back and redo it.
-            let zero_a;
-            let a_blk = match &args[1] {
-                Value::Mat(a) => a,
-                Value::Null => {
-                    zero_a = Matrix::zeros(b_blk.rows(), b_blk.rows());
-                    &zero_a
-                }
-                other => return Err(format!("A must be a block, got {}", other.type_name())),
-            };
-            let mut c_blk = match &args[2] {
-                Value::Mat(c) => c.clone(),
-                Value::Null => Matrix::zeros(a_blk.rows(), b_blk.cols()),
-                other => return Err(format!("C must be a block, got {}", other.type_name())),
-            };
-            ctx.charge(calib.block_multiply_ns(a_blk.rows()));
-            crate::matmul::multiply_accumulate(&mut c_blk, a_blk, b_blk);
-            Ok(Value::Mat(c_blk))
-        });
-    }
-
-    cluster.build(&LogicalTopology::grid(m as usize, cluster.daemons()))?;
-    // Pre-distribute the resident blocks ("we assume that the matrices
-    // are already distributed over the network", §3.2) and zero C.
-    for i in 0..m {
-        for j in 0..m {
-            let node = Value::str(format!("{i},{j}"));
-            cluster.set_node_var(&node, "resid_A", Value::Mat(layout.block(a, i, j)))?;
-            cluster.set_node_var(&node, "resid_B", Value::Mat(layout.block(b, i, j)))?;
-            cluster.set_node_var(&node, "C", Value::Mat(Matrix::zeros(s, s)))?;
-        }
-    }
-
-    let dist = msgr_lang::compile_with_entry(MATMUL_SCRIPTS, "distribute_A")
-        .expect("distribute_A compiles");
-    let rot = msgr_lang::compile_with_entry(MATMUL_SCRIPTS, "rotate_B").expect("rotate_B compiles");
-    let dist_id = cluster.register_program(&dist);
-    let rot_id = cluster.register_program(&rot);
+    cluster.register_native("copy_block", copy_block(*calib));
+    cluster.register_native("block_multiply", block_multiply(*calib));
+    cluster.build(&LogicalTopology::grid(scene.m as usize, cluster.daemons()))?;
+    distribute(scene, a, b, |node, var, v| cluster.set_node_var(node, var, v))?;
+    let (dist, rot) = scripts();
+    let ids = (cluster.register_program(&dist), cluster.register_program(&rot));
     cluster.trace_span_begin("matmul.inject");
-    for i in 0..m {
-        for j in 0..m {
-            let node = Value::str(format!("{i},{j}"));
-            let args = [
-                Value::Int(s as i64),
-                Value::Int(m as i64),
-                Value::Int(i as i64),
-                Value::Int(j as i64),
-            ];
-            cluster.inject_at(&node, dist_id, &args)?;
-            cluster.inject_at(&node, rot_id, &args)?;
-        }
-    }
+    inject_all(scene, ids, |node, pid, args| cluster.inject_at(node, pid, args))?;
     cluster.trace_span_end("matmul.inject");
 
     let report = cluster.run()?;
-    if let Some((mid, err)) = report.faults.first() {
-        return Err(ClusterError::Config(format!("messenger {mid} faulted: {err}")));
-    }
-    let mut blocks = Vec::with_capacity((m * m) as usize);
-    for i in 0..m {
-        for j in 0..m {
-            let node = Value::str(format!("{i},{j}"));
-            let c = cluster
-                .node_var_by_name(&node, "C")
-                .ok_or_else(|| ClusterError::NotFound(format!("C at {node}")))?;
-            match c {
-                Value::Mat(mat) => blocks.push(mat),
-                other => {
-                    return Err(ClusterError::Config(format!(
-                        "C at {node} is {}, expected block",
-                        other.type_name()
-                    )))
-                }
-            }
-        }
-    }
     Ok(MatmulRun {
         seconds: report.sim_seconds,
-        product: layout.assemble(&blocks),
+        product: product(scene, &report.faults, |node| cluster.node_var_by_name(node, "C"))?,
+        stats: report.stats,
+        trace: report.trace,
+    })
+}
+
+/// Run the Fig. 11 program on the threaded platform with `daemons`
+/// daemons: the block kernels genuinely execute on daemon threads, and
+/// global virtual time alone orders the two scripts.
+///
+/// # Errors
+///
+/// Propagates [`ClusterError`]; faults become `ClusterError::Config`.
+pub fn run_threads(
+    scene: MatmulScene,
+    a: &Matrix,
+    b: &Matrix,
+    daemons: usize,
+) -> Result<MatmulRun, ClusterError> {
+    let mut cluster = ThreadCluster::new(ClusterConfig::new(daemons))?;
+    // Threaded runs keep no simulated clock, so the natives' charges
+    // are dropped and the calibration does not matter.
+    cluster.register_native("copy_block", copy_block(Calib::default()));
+    cluster.register_native("block_multiply", block_multiply(Calib::default()));
+    cluster.build(&LogicalTopology::grid(scene.m as usize, daemons))?;
+    distribute(scene, a, b, |node, var, v| cluster.set_node_var(node, var, v))?;
+    let (dist, rot) = scripts();
+    let ids = (cluster.register_program(&dist), cluster.register_program(&rot));
+    inject_all(scene, ids, |node, pid, args| cluster.inject_at(node, pid, args))?;
+
+    let report = cluster.run()?;
+    Ok(MatmulRun {
+        seconds: report.wall_seconds,
+        product: product(scene, &report.faults, |node| cluster.node_var_by_name(node, "C"))?,
         stats: report.stats,
         trace: report.trace,
     })

@@ -229,7 +229,8 @@ pub struct ClusterConfig {
     pub vt_mode: VtMode,
     /// GVT service switch.
     pub vt_service: VtService,
-    /// Interval between GVT rounds (simulated time).
+    /// Interval between GVT rounds (simulated time): simulation platform
+    /// only; threads start rounds on demand.
     pub gvt_interval: SimTime,
     /// Carry full program code on every migration (the WAVE-style
     /// ablation) instead of relying on the shared code registry.

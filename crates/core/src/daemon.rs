@@ -541,6 +541,10 @@ pub struct Daemon {
     evictions: Vec<(u16, f64)>,
     /// Highest GVT estimate seen (via the coordinator or gossip hints).
     gvt_hint: f64,
+    /// Ran a segment or took a non-GVT frame since the last idle kick.
+    worked: bool,
+    /// (Coordinator.) A kick arrived mid-round: begin another on `Advance`.
+    kick_latched: bool,
     /// Output-commit stage: durable effects held back until the next
     /// checkpoint flush, so a death between checkpoints rolls back
     /// cleanly (the work re-executes from the snapshot, exactly once).
@@ -626,6 +630,8 @@ impl Daemon {
             gossip_rng,
             evictions: Vec::new(),
             gvt_hint: 0.0,
+            worked: false,
+            kick_latched: false,
             stage: Vec::new(),
             pending_acks: Vec::new(),
             last_ckpt_min: Vt::INFINITY,
@@ -964,6 +970,7 @@ impl Daemon {
     /// cost of accepting it.
     pub fn on_wire_at(&mut self, now: SimTime, wire: Wire, fx: &mut Vec<Effect>) -> u64 {
         self.rec.set_now(now);
+        self.worked |= !matches!(wire, Wire::Gvt(_) | Wire::GvtKick);
         let cost = self.on_wire_inner(now, wire, fx);
         self.stage_durable(fx);
         cost
@@ -1210,7 +1217,9 @@ impl Daemon {
                 c.gvt_msg_ns
             }
             Wire::GvtKick => {
-                self.gvt_begin(fx);
+                if !self.gvt_begin(fx) {
+                    self.kick_latched = self.coord.as_ref().is_some_and(Coordinator::busy);
+                }
                 0
             }
         }
@@ -1712,18 +1721,9 @@ impl Daemon {
                 }
             }
         }
-        if self.coord.is_some() {
-            let action = self.coord.as_mut().expect("checked above").evict(victim.0, floor);
-            match action {
-                CoordinatorAction::Wait => {}
-                CoordinatorAction::PollAll { round } => {
-                    self.broadcast_gvt(CtrlMsg::Poll { round }, fx);
-                }
-                CoordinatorAction::Advance { gvt } => {
-                    self.stats.bump(Metric::GvtRounds);
-                    self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
-                }
-            }
+        if let Some(coord) = self.coord.as_mut() {
+            let action = coord.evict(victim.0, floor);
+            self.coord_act(action, fx);
         }
     }
 
@@ -2165,18 +2165,28 @@ impl Daemon {
             }
             CtrlMsg::Advance { gvt } => self.advance_gvt_local(gvt),
             ack @ (CtrlMsg::CutAck { .. } | CtrlMsg::PollAck { .. }) => {
-                let Some(coord) = self.coord.as_mut() else {
-                    return;
-                };
-                match coord.on_ack(&ack) {
-                    CoordinatorAction::Wait => {}
-                    CoordinatorAction::PollAll { round } => {
-                        self.broadcast_gvt(CtrlMsg::Poll { round }, fx);
-                    }
-                    CoordinatorAction::Advance { gvt } => {
-                        self.stats.bump(Metric::GvtRounds);
-                        self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
-                    }
+                if let Some(coord) = self.coord.as_mut() {
+                    let action = coord.on_ack(&ack);
+                    self.coord_act(action, fx);
+                }
+            }
+        }
+    }
+
+    /// Carry out a coordinator decision. An `Advance` that closes a round
+    /// during which a kick arrived begins the next round at once; FIFO
+    /// channels deliver its `Cut` behind the `Advance`.
+    fn coord_act(&mut self, action: CoordinatorAction, fx: &mut Vec<Effect>) {
+        match action {
+            CoordinatorAction::Wait => {}
+            CoordinatorAction::PollAll { round } => {
+                self.broadcast_gvt(CtrlMsg::Poll { round }, fx);
+            }
+            CoordinatorAction::Advance { gvt } => {
+                self.stats.bump(Metric::GvtRounds);
+                self.broadcast_gvt(CtrlMsg::Advance { gvt }, fx);
+                if std::mem::take(&mut self.kick_latched) {
+                    self.gvt_begin(fx);
                 }
             }
         }
@@ -2226,6 +2236,16 @@ impl Daemon {
         };
         self.broadcast_gvt(cut, fx);
         true
+    }
+
+    /// Platform hook for a daemon with no ready work and an empty inbox:
+    /// if it has worked since its last kick, ask the coordinator for a
+    /// GVT round (demand-driven rounds; GVT frames are not work, so an
+    /// `Advance` that releases nothing kicks no further round).
+    pub fn idle_kick(&mut self, fx: &mut Vec<Effect>) {
+        if std::mem::take(&mut self.worked) {
+            fx.push(Effect::Send { dst: DaemonId(0), wire: Wire::GvtKick });
+        }
     }
 
     // ---- annihilation (optimistic) -----------------------------------------------
@@ -2320,6 +2340,7 @@ impl Daemon {
     /// cost, or `None` if nothing is runnable.
     pub fn run_segment(&mut self, dir: &dyn Directory, fx: &mut Vec<Effect>) -> Option<u64> {
         let cost = self.run_segment_inner(dir, fx)?;
+        self.worked = true;
         self.stage_durable(fx);
         Some(cost)
     }

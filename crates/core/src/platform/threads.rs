@@ -8,6 +8,15 @@
 //! messenger exists or is in flight, so the cluster has quiesced. (A
 //! WAN deployment would use a distributed termination detector; the
 //! counter is exact here because all daemons share one process.)
+//!
+//! GVT rounds start on demand, not on a timer. A daemon that finds its
+//! run queue and inbox empty, having worked since its last kick, sends
+//! the coordinator one `GvtKick`; a kick that arrives mid-round is
+//! latched, and the `Advance` closing that round begins the next. The
+//! last daemon to go idle therefore always triggers a round that sees
+//! the whole cluster idle, so GVT reaches the smallest parked wake time
+//! and releases it. GVT frames are not work, so an `Advance` that
+//! releases nothing kicks no further round.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -332,27 +341,11 @@ impl ThreadCluster {
                     dir,
                     store,
                     ckpt_every,
+                    gvt_needed,
                 );
                 daemon
             }));
         }
-
-        // GVT interval ticker.
-        let ticker = if gvt_needed {
-            let tx0 = senders[0].clone();
-            let shutdown = shutdown.clone();
-            let interval = Duration::from_nanos(self.cfg.gvt_interval.max(1_000_000));
-            Some(std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if tx0.send(Wire::GvtKick).is_err() {
-                        break;
-                    }
-                }
-            }))
-        } else {
-            None
-        };
 
         // Wait for quiescence.
         let deadline = Instant::now() + Duration::from_secs(300);
@@ -369,9 +362,6 @@ impl ThreadCluster {
         for h in handles {
             let daemon = h.join().expect("daemon thread panicked");
             self.daemons.push(daemon);
-        }
-        if let Some(t) = ticker {
-            let _ = t.join();
         }
         if stalled {
             return Err(ClusterError::Stalled { events: 0 });
@@ -418,6 +408,7 @@ fn run_daemon(
     dir: SharedDirectory,
     mut store: Option<FileStore>,
     ckpt_every: Duration,
+    gvt_needed: bool,
 ) {
     // On threads the recorder's `rt` stays 0 for trace determinism, so
     // the profiler (if on) keeps its own monotonic clock instead.
@@ -441,7 +432,12 @@ fn run_daemon(
             apply(&mut fx, &senders, &live, &faults, &dir);
             continue;
         }
-        // Idle: block briefly for new work, checking for shutdown.
+        // Idle: kick the GVT coordinator (see the module doc), then block
+        // briefly for new work, checking for shutdown.
+        if gvt_needed {
+            daemon.idle_kick(&mut fx);
+            apply(&mut fx, &senders, &live, &faults, &dir);
+        }
         match rx.recv_timeout(Duration::from_micros(500)) {
             Ok(wire) => {
                 daemon.on_wire(wire, &mut fx);

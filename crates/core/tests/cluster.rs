@@ -461,13 +461,16 @@ fn threads_virtual_time_alternation() {
     )
     .unwrap();
     let mut cfg = ClusterConfig::new(2);
-    cfg.gvt_interval = 1_000_000; // 1 ms wall-clock ticks
+    // Threads start GVT rounds on demand: a periodic ticker at this
+    // interval would need 10 s before the first round.
+    cfg.gvt_interval = 10_000_000_000;
     let mut c = ThreadCluster::new(cfg).unwrap();
     let pid = c.register_program(&prog);
     c.inject(1, pid, &[Value::str("a"), Value::Float(0.0)]).unwrap();
     c.inject(1, pid, &[Value::str("b"), Value::Float(0.5)]).unwrap();
     let report = c.run().unwrap();
     assert!(report.faults.is_empty(), "{:?}", report.faults);
+    assert!(report.wall_seconds < 1.0, "took {} s", report.wall_seconds);
     assert_eq!(c.node_var(1, &Value::str("init"), "trace"), Some(Value::str("ababab")));
 }
 

@@ -209,6 +209,86 @@ fn gvt_kick_starts_round_only_on_coordinator() {
     assert!(fx.is_empty(), "non-coordinators ignore kicks");
 }
 
+/// The `Gvt` frames in `fx`, as `(destination, message)`.
+fn gvt_sends(fx: &[Effect]) -> Vec<(u16, CtrlMsg)> {
+    fx.iter()
+        .filter_map(|e| match e {
+            Effect::Send { dst, wire: Wire::Gvt(m) } => Some((dst.0, m.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+fn kicks(fx: &[Effect]) -> usize {
+    fx.iter()
+        .filter(|e| matches!(e, Effect::Send { dst: DaemonId(0), wire: Wire::GvtKick }))
+        .count()
+}
+
+#[test]
+fn gvt_kick_during_a_round_is_latched_until_advance() {
+    let (mut d0, _) = mk_daemon(0, ClusterConfig::new(2));
+    let (mut d1, _) = mk_daemon(1, ClusterConfig::new(2));
+    let mut fx = Vec::new();
+    d0.on_wire(Wire::GvtKick, &mut fx);
+    assert_eq!(gvt_sends(&fx).len(), 2, "the first kick broadcasts round 1's cut");
+    fx.clear();
+    d0.on_wire(Wire::GvtKick, &mut fx);
+    assert!(fx.is_empty(), "a kick mid-round sends nothing: {fx:?}");
+
+    // Both participants ack the cut; the acks close round 1.
+    let cut = Wire::Gvt(CtrlMsg::Cut { round: 1 });
+    let mut acks = Vec::new();
+    d0.on_wire(cut.clone(), &mut acks);
+    d1.on_wire(cut, &mut acks);
+    for (_, ack) in gvt_sends(&acks) {
+        d0.on_wire(Wire::Gvt(ack), &mut fx);
+    }
+    // The latched kick begins round 2 in the same batch, each cut behind
+    // its daemon's advance.
+    for d in 0..2 {
+        let to_d: Vec<CtrlMsg> =
+            gvt_sends(&fx).into_iter().filter(|(dst, _)| *dst == d).map(|(_, m)| m).collect();
+        assert!(
+            matches!(to_d[..], [CtrlMsg::Advance { .. }, CtrlMsg::Cut { round: 2 }]),
+            "d{d}: {to_d:?}"
+        );
+    }
+}
+
+#[test]
+fn only_work_earns_an_idle_kick() {
+    let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));
+    let prog = msgr_lang::compile("main() { M_sched_time_abs(7.5); }").unwrap();
+    codes.register(&prog);
+    d.launch(&prog, &[], d.init_node()).unwrap();
+    let dir: HashMap<Value, (DaemonId, NodeRef)> = HashMap::new();
+    let mut fx = Vec::new();
+    d.run_segment(&dir, &mut fx); // parks at vt 7.5
+    fx.clear();
+    d.idle_kick(&mut fx);
+    assert_eq!(kicks(&fx), 1, "a segment earns one kick");
+    fx.clear();
+    d.idle_kick(&mut fx);
+    assert!(fx.is_empty(), "one kick per stretch of work");
+
+    // A whole round, closed by an advance that releases nothing, is no work.
+    d.on_wire(Wire::Gvt(CtrlMsg::Cut { round: 1 }), &mut fx);
+    d.on_wire(Wire::Gvt(CtrlMsg::Poll { round: 1 }), &mut fx);
+    d.on_wire(Wire::Gvt(CtrlMsg::Advance { gvt: Vt::new(5.0) }), &mut fx);
+    assert!(!d.has_work());
+    fx.clear();
+    d.idle_kick(&mut fx);
+    assert!(fx.is_empty(), "GVT frames must not earn a kick: {fx:?}");
+
+    // An advance that releases the messenger leads to work, and so a kick.
+    d.on_wire(Wire::Gvt(CtrlMsg::Advance { gvt: Vt::new(7.5) }), &mut fx);
+    d.run_segment(&dir, &mut fx);
+    fx.clear();
+    d.idle_kick(&mut fx);
+    assert_eq!(kicks(&fx), 1);
+}
+
 #[test]
 fn cut_wire_produces_ack_with_local_min() {
     let (mut d, codes) = mk_daemon(1, ClusterConfig::new(2));

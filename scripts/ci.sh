@@ -35,6 +35,16 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
+echo "== threads GVT liveness =="
+# On threads, idle daemons kick the GVT coordinator and nothing else
+# starts a round. A lost kick parks matmul for good; the timeout turns
+# that stall into a failure within two minutes rather than at the
+# cluster's 300 s deadline. Three runs, since a lost kick is a race.
+for run in 1 2 3; do
+    echo "liveness run $run/3"
+    timeout 120 cargo test -q --offline --test cross_system matmul
+done
+
 echo "== lint: msgr-lint over all MSGR-C sources =="
 # Static analysis of every navigation program we ship: the .mc example
 # scripts plus the programs embedded in msgr-apps. Warnings are denied —

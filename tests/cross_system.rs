@@ -59,6 +59,19 @@ fn matmul_three_ways_match_reference() {
     cfg.vt_mode = VtMode::Optimistic;
     let opt = matmul_msgr::run_sim(scene, &a, &b, &calib, cfg).unwrap();
     assert!(max_abs_diff(&opt.product, &msgr.product) < 1e-15, "time warp");
+
+    // On threads, only demand-driven GVT rounds order the two scripts.
+    for (m, daemons) in [(2, 2), (3, 3)] {
+        let scene = MatmulScene::new(m, 8);
+        for seed in [31, 32, 33] {
+            let a = test_matrix(scene.n(), seed);
+            let b = test_matrix(scene.n(), seed + 100);
+            let run = matmul_msgr::run_threads(scene, &a, &b, daemons).unwrap();
+            let what = format!("threads {m}x{m} on {daemons} daemons, seed {seed}");
+            assert!(max_abs_diff(&run.product, &multiply_reference(&a, &b)) < 1e-9, "{what}");
+            assert!(run.seconds < 2.0, "{what}: {} s", run.seconds);
+        }
+    }
 }
 
 #[test]
