@@ -5,7 +5,8 @@
 //! wire frames, and GVT protocol as the simulation, but with genuine
 //! concurrency. Termination uses a cluster-wide live-messenger counter
 //! (injection +1, replication +k−1, death −1): when it reaches zero no
-//! messenger exists or is in flight, so the cluster has quiesced. (A
+//! messenger exists or is in flight, so the cluster has quiesced, and
+//! the daemon whose update took it there wakes the waiting caller. (A
 //! WAN deployment would use a distributed termination detector; the
 //! counter is exact here because all daemons share one process.)
 //!
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 
 use msgr_sim::Stats;
 use msgr_trace::{Metric, Trace};
@@ -41,6 +42,38 @@ use crate::ClusterError;
 
 type DirMap = HashMap<Value, (DaemonId, NodeRef)>;
 
+/// The cluster-wide live-messenger count, with the condvar the update
+/// that takes it to zero notifies.
+#[derive(Default)]
+struct Live {
+    n: AtomicI64,
+    zero: Mutex<()>,
+    quiesced: Condvar,
+}
+
+impl Live {
+    fn add(&self, d: i64) {
+        if self.n.fetch_add(d, Ordering::SeqCst) + d <= 0 {
+            // Taking the lock orders this notify after a waiter's check
+            // of `n`, so the wakeup cannot be lost.
+            drop(self.zero.lock().expect("live-count lock poisoned"));
+            self.quiesced.notify_all();
+        }
+    }
+
+    /// Block until the count is zero; `false` if `deadline` passed first.
+    fn wait_zero(&self, deadline: Instant) -> bool {
+        let mut guard = self.zero.lock().expect("live-count lock poisoned");
+        while self.n.load(Ordering::SeqCst) > 0 {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            guard = self.quiesced.wait_timeout(guard, left).expect("live-count lock poisoned").0;
+        }
+        true
+    }
+}
+
 #[derive(Clone)]
 struct SharedDirectory(Arc<RwLock<DirMap>>);
 
@@ -53,7 +86,8 @@ impl Directory for SharedDirectory {
 /// Outcome of a threaded run.
 #[derive(Debug, Clone)]
 pub struct ThreadReport {
-    /// Real elapsed time of the run, in seconds.
+    /// Real elapsed time of the run, in seconds: from spawning the
+    /// daemon threads until they have all joined.
     pub wall_seconds: f64,
     /// Messenger runtime faults.
     pub faults: Vec<(MessengerId, String)>,
@@ -78,7 +112,7 @@ pub struct ThreadCluster {
     codes: CodeCache,
     natives: Arc<RwLock<NativeRegistry>>,
     directory: SharedDirectory,
-    live: Arc<AtomicI64>,
+    live: Arc<Live>,
     faults: Arc<Mutex<Vec<(MessengerId, String)>>>,
 }
 
@@ -135,7 +169,7 @@ impl ThreadCluster {
             codes,
             natives,
             directory: SharedDirectory(Arc::new(RwLock::new(HashMap::new()))),
-            live: Arc::new(AtomicI64::new(0)),
+            live: Arc::new(Live::default()),
             faults: Arc::new(Mutex::new(Vec::new())),
         })
     }
@@ -258,7 +292,7 @@ impl ThreadCluster {
         let id = self.daemons[d as usize]
             .launch(&prog, args, at)
             .map_err(|e| ClusterError::BadInjection(e.to_string()))?;
-        self.live.fetch_add(1, Ordering::SeqCst);
+        self.live.add(1);
         Ok(id)
     }
 
@@ -347,22 +381,15 @@ impl ThreadCluster {
             }));
         }
 
-        // Wait for quiescence.
-        let deadline = Instant::now() + Duration::from_secs(300);
-        let stalled = loop {
-            if self.live.load(Ordering::SeqCst) <= 0 {
-                break false;
-            }
-            if Instant::now() > deadline {
-                break true;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        };
+        let stalled = !self.live.wait_zero(Instant::now() + Duration::from_secs(300));
         shutdown.store(true, Ordering::SeqCst);
         for h in handles {
             let daemon = h.join().expect("daemon thread panicked");
             self.daemons.push(daemon);
         }
+        // The run ends here: merging stats and traces (and writing
+        // `trace.jsonl`) is reporting, not running.
+        let wall_seconds = start.elapsed().as_secs_f64();
         if stalled {
             return Err(ClusterError::Stalled { events: 0 });
         }
@@ -388,12 +415,7 @@ impl ThreadCluster {
                 }
             }
         }
-        Ok(ThreadReport {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            faults: self.faults.lock().unwrap().clone(),
-            stats,
-            trace,
-        })
+        Ok(ThreadReport { wall_seconds, faults: self.faults.lock().unwrap().clone(), stats, trace })
     }
 }
 
@@ -403,7 +425,7 @@ fn run_daemon(
     rx: Receiver<Wire>,
     senders: Vec<Sender<Wire>>,
     shutdown: Arc<AtomicBool>,
-    live: Arc<AtomicI64>,
+    live: Arc<Live>,
     faults: Arc<Mutex<Vec<(MessengerId, String)>>>,
     dir: SharedDirectory,
     mut store: Option<FileStore>,
@@ -460,7 +482,7 @@ fn run_daemon(
 fn apply(
     fx: &mut Vec<Effect>,
     senders: &[Sender<Wire>],
-    live: &AtomicI64,
+    live: &Live,
     faults: &Mutex<Vec<(MessengerId, String)>>,
     dir: &SharedDirectory,
 ) {
@@ -470,7 +492,7 @@ fn apply(
                 let _ = senders[dst.0 as usize].send(wire);
             }
             Effect::LiveDelta(d) => {
-                live.fetch_add(d, Ordering::SeqCst);
+                live.add(d);
             }
             Effect::Fault { messenger, error } => {
                 faults.lock().unwrap().push((messenger, error));
@@ -485,5 +507,38 @@ fn apply(
             // daemons never arm retransmission timers or failover.
             Effect::Timer { .. } | Effect::Recover { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_update_that_reaches_zero_wakes_the_waiter() {
+        // Whichever runs first, the wait or the update, the waiter must
+        // return at once: a lost wakeup would hold it to the deadline.
+        let live = Arc::new(Live::default());
+        live.add(2);
+        let (ready, go) = channel();
+        let l = live.clone();
+        let waiter = std::thread::spawn(move || {
+            ready.send(()).expect("main thread waits for this");
+            let t0 = Instant::now();
+            (l.wait_zero(t0 + Duration::from_secs(60)), t0.elapsed())
+        });
+        go.recv().expect("waiter started");
+        live.add(-1);
+        live.add(-1);
+        let (reached, waited) = waiter.join().expect("waiter thread");
+        assert!(reached, "count reached zero");
+        assert!(waited < Duration::from_secs(30), "woken, not timed out");
+    }
+
+    #[test]
+    fn a_count_that_stays_positive_times_out() {
+        let live = Live::default();
+        live.add(1);
+        assert!(!live.wait_zero(Instant::now() + Duration::from_millis(10)));
     }
 }

@@ -10,8 +10,10 @@
 //!   hot patterns the MSGR-C compiler emits: `const/binop/store`
 //!   (`i = i + 1`), `compare-and-branch` (`while (i < passes)` loop
 //!   heads) and `load/hop` (`hop(ll = "ring"; ldir = +)`).
-//! * **Fused loops** — whole `while` loops run as flat register code,
-//!   optionally on an unboxed typed register file (`run_loop_typed`).
+//! * **Fused loops** — whole `while` loops run as flat register code
+//!   over boxed values (`run_loop`), or, when an effect summary licenses
+//!   the loop, specialized to the kinds its values enter with
+//!   (`run_loop_typed`; see "Typed loops" below).
 //! * **Inlined calls** — a `Call` to a proven straight-line pure leaf
 //!   runs without an activation frame.
 //!
@@ -41,6 +43,24 @@
 //!   Spans run only when the whole span fits in the remaining fuel, so
 //!   fuel-exhaustion positions are bit-exact too.
 //!
+//! # Typed loops
+//!
+//! A summary-licensed loop uses only ops that are total over `Int`,
+//! `Float` and `Bool`. On its first entry the loop reads the kind of
+//! each slot it uses and abstract-interprets its condition and body once
+//! over those kinds, with `binop`'s rules. The signature is *stable* if
+//! every slot leaves the body with the kind it entered with; then the
+//! kinds of every register at every op are the same on every iteration,
+//! and the loop is lowered to monomorphic ops (`FAdd`, `IAdd`, `FLt`,
+//! `ToF`, …) over an unboxed `f64` file and an `i64` file (bools as
+//! 0/1). Stores of a temporary fold into the op that made it. The
+//! lowering is cached in the loop, keyed by that first stable
+//! signature: a later entry compares the kinds of its slots and runs
+//! with no allocation. An entry with another signature, an unstable
+//! one, or a used slot outside the three kinds runs on the boxed
+//! `run_loop`. Both executors charge fuel, write back and exit the same
+//! way, and neither changes any float operation or its order.
+//!
 //! # Precondition: verification
 //!
 //! The compiler assumes structurally sane code — in-range constant pool
@@ -52,7 +72,7 @@
 //! registry therefore compiles right after verification and quarantines
 //! on failure.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::binop;
 use crate::bytecode::{Dir, LinkPat, NodePat, Op, Program};
@@ -164,7 +184,7 @@ impl CompiledProgram {
 /// Structural limits only (a function body too large to index by `u32`);
 /// verified programs always compile.
 pub fn compile(p: &Program) -> Result<CompiledProgram, String> {
-    compile_full(p, None, false)
+    compile_full(p, None, Mutant::None)
 }
 
 /// Compile with interprocedural effect summaries (from
@@ -177,8 +197,8 @@ pub fn compile(p: &Program) -> Result<CompiledProgram, String> {
 ///   summary; a wrong `exact_ops` is an observable miscompile (by
 ///   design — see the corruption check in `tests/diff_props.rs`).
 /// - **Typed loops**: a fused `while` loop whose head carries a
-///   `pure_loops` license runs on an unboxed `{i64, f64, bool}`
-///   register file with no per-iteration deopt checks.
+///   `pure_loops` license runs specialized to its entry kinds over
+///   unboxed `f64`/`i64` registers, with no per-iteration deopt checks.
 ///
 /// `compile_with_summaries(p, None)` is exactly [`compile`].
 ///
@@ -189,7 +209,7 @@ pub fn compile_with_summaries(
     p: &Program,
     summaries: Option<&SummaryTable>,
 ) -> Result<CompiledProgram, String> {
-    compile_full(p, summaries, false)
+    compile_full(p, summaries, Mutant::None)
 }
 
 /// Test hook: compile with a deliberately miscompiled superinstruction
@@ -201,14 +221,41 @@ pub fn compile_with_summaries(
 /// As for [`compile`].
 #[doc(hidden)]
 pub fn compile_miscompiled(p: &Program) -> Result<CompiledProgram, String> {
-    compile_full(p, None, true)
+    compile_full(p, None, Mutant::SwapFused)
+}
+
+/// Test hook: compile with summaries, but lower every typed-loop
+/// specialization's float `Sub` with its operands swapped. Only the
+/// specialized path is wrong; the typed-loop differential property
+/// must catch it.
+///
+/// # Errors
+///
+/// As for [`compile`].
+#[doc(hidden)]
+pub fn compile_typed_miscompiled(
+    p: &Program,
+    summaries: &SummaryTable,
+) -> Result<CompiledProgram, String> {
+    compile_full(p, Some(summaries), Mutant::SwapTypedSub)
+}
+
+/// A deliberate miscompile, for the mutation checks.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mutant {
+    None,
+    /// Fused arithmetic in spans and loops evaluates operands swapped.
+    SwapFused,
+    /// Typed specializations lower float `Sub` with operands swapped.
+    SwapTypedSub,
 }
 
 fn compile_full(
     p: &Program,
     summaries: Option<&SummaryTable>,
-    mutate: bool,
+    mutant: Mutant,
 ) -> Result<CompiledProgram, String> {
+    let mutate = mutant == Mutant::SwapFused;
     let consts: Arc<Vec<Value>> = Arc::new(p.consts.clone());
     let mut funcs = Vec::with_capacity(p.funcs.len());
     let mut n_superinsts = 0u64;
@@ -236,7 +283,7 @@ fn compile_full(
             for (pc, slot) in loops.iter_mut().enumerate() {
                 if let Some(lp) = slot {
                     if s.pure_loops.contains(&(pc as u32)) && loop_regops_typed(lp) {
-                        lp.typed = true;
+                        lp.typed = Some(TypedLoop::new(lp, mutant == Mutant::SwapTypedSub));
                         n_typed_loops += 1;
                     }
                 }
@@ -328,10 +375,9 @@ fn overlay(cp: &CompiledProgram, m: &mut MessengerState, fuel: u64, ops: &mut u6
     // falls back to spans and the interpreter step.
     if let Some(lp) = cf.loops.get(pc)?.as_ref() {
         if *ops + u64::from(lp.per_iter) <= fuel {
-            // Summary-licensed loops try the unboxed typed register file
-            // first; anything it cannot represent falls through to the
-            // generic boxed executor.
-            let typed = if lp.typed { run_loop_typed(lp, frame, fuel, ops) } else { None };
+            // Summary-licensed loops run specialized when the frame
+            // matches the cached signature; anything else runs boxed.
+            let typed = lp.typed.as_ref().and_then(|t| run_loop_typed(lp, t, frame, fuel, ops));
             if let Some(ctrl) = typed.or_else(|| run_loop(lp, frame, fuel, ops)) {
                 return Some(ctrl);
             }
@@ -773,13 +819,10 @@ struct LoopStep {
     writeback: Vec<usize>,
     /// Summary license: the analyzer proved this loop head is a counted
     /// call-free `while` whose ops are total over `{int, float, bool}`,
-    /// so iterations may run on the unboxed [`TV`] register file with no
-    /// per-iteration deopt checks. Set only by `compile_with_summaries`.
-    typed: bool,
-    /// Which local slots the loop actually reads or writes back — the
-    /// typed executor only needs *these* to be representable; dead slots
-    /// holding strings/arrays don't block the fast path.
-    used_slots: Vec<bool>,
+    /// so entries may run specialized to their kinds ([`TypedLoop`])
+    /// with no per-iteration deopt checks. Set only by
+    /// `compile_with_summaries`.
+    typed: Option<TypedLoop>,
 }
 
 const MAX_LOOP_SLOTS: usize = 32;
@@ -945,35 +988,6 @@ fn build_loop(
     let mut writeback = stored;
     writeback.sort_unstable();
     writeback.dedup();
-    let mut used_slots = vec![false; n_slots];
-    let mark = |used: &mut [bool], r: usize| {
-        if r < used.len() {
-            used[r] = true;
-        }
-    };
-    for r in cond_ops.iter().chain(body_ops.iter()) {
-        match *r {
-            RegOp::Bin { dst, a, b, .. }
-            | RegOp::Cmp { dst, a, b, .. }
-            | RegOp::Eq { dst, a, b, .. } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, a);
-                mark(&mut used_slots, b);
-            }
-            RegOp::Neg { dst, a } | RegOp::Not { dst, a } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, a);
-            }
-            RegOp::Mov { dst, src } => {
-                mark(&mut used_slots, dst);
-                mark(&mut used_slots, src);
-            }
-        }
-    }
-    mark(&mut used_slots, cond_reg);
-    for &s in &writeback {
-        mark(&mut used_slots, s);
-    }
     Some(LoopStep {
         per_iter: b.len,
         cond_need,
@@ -985,8 +999,7 @@ fn build_loop(
         cond_reg,
         body_ops,
         writeback,
-        typed: false,
-        used_slots,
+        typed: None,
     })
 }
 
@@ -1130,166 +1143,463 @@ fn loop_regops_typed(lp: &LoopStep) -> bool {
             _ => true,
         })
     };
-    ok(&lp.cond_ops)
-        && ok(&lp.body_ops)
-        && lp
-            .consts
-            .iter()
-            .all(|(_, v)| matches!(v, Value::Int(_) | Value::Float(_) | Value::Bool(_)))
+    ok(&lp.cond_ops) && ok(&lp.body_ops) && lp.consts.iter().all(|(_, v)| kind_of(v).is_some())
 }
 
-/// Unboxed typed value for the summary-licensed loop fast path. Closed
-/// and total under `{Add, Sub, Mul, Lt..Ge, Eq/Ne, Neg, Not, Mov}` with
-/// semantics identical to [`binop`] on `Int`/`Float`/`Bool` inputs — no
-/// faults, hence no deopt machinery.
-#[derive(Copy, Clone)]
-enum TV {
-    I(i64),
-    F(f64),
-    B(bool),
+// ---------------------------------------------------------------------
+// Monomorphic typed loops: a summary-licensed loop specialized once to
+// the kinds of the values it enters with, then run over unboxed
+// registers with every type decision already taken.
+// ---------------------------------------------------------------------
+
+/// The value kinds a typed loop specializes on.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Kind {
+    Int,
+    Float,
+    Bool,
 }
 
-fn tv_of(v: &Value) -> Option<TV> {
+fn kind_of(v: &Value) -> Option<Kind> {
     match v {
-        Value::Int(x) => Some(TV::I(*x)),
-        Value::Float(x) => Some(TV::F(*x)),
-        Value::Bool(b) => Some(TV::B(*b)),
+        Value::Int(_) => Some(Kind::Int),
+        Value::Float(_) => Some(Kind::Float),
+        Value::Bool(_) => Some(Kind::Bool),
         _ => None,
     }
 }
 
-fn tv_value(t: TV) -> Value {
-    match t {
-        TV::I(x) => Value::Int(x),
-        TV::F(x) => Value::Float(x),
-        TV::B(b) => Value::Bool(b),
+/// The kind `r` leaves in its destination, given its operands' kinds:
+/// [`binop`]'s rules restricted to `{Int, Float, Bool}`. Add/Sub/Mul
+/// stay `Int` only for two `Int`s and otherwise widen to `Float` (a
+/// `Bool` widens to 0/1); Neg keeps `Int` and widens the rest;
+/// comparisons, equality and Not give `Bool`; Mov copies. `None` if an
+/// operand has no kind.
+fn kind_after(r: &RegOp, k: &[Option<Kind>]) -> Option<Kind> {
+    Some(match *r {
+        RegOp::Bin { a, b, .. } => match (k[a]?, k[b]?) {
+            (Kind::Int, Kind::Int) => Kind::Int,
+            _ => Kind::Float,
+        },
+        RegOp::Cmp { a, b, .. } | RegOp::Eq { a, b, .. } => {
+            k[a]?;
+            k[b]?;
+            Kind::Bool
+        }
+        RegOp::Neg { a, .. } => match k[a]? {
+            Kind::Int => Kind::Int,
+            _ => Kind::Float,
+        },
+        RegOp::Not { a, .. } => {
+            k[a]?;
+            Kind::Bool
+        }
+        RegOp::Mov { src, .. } => k[src]?,
+    })
+}
+
+fn regop_dst(r: &RegOp) -> usize {
+    match *r {
+        RegOp::Bin { dst, .. }
+        | RegOp::Cmp { dst, .. }
+        | RegOp::Eq { dst, .. }
+        | RegOp::Neg { dst, .. }
+        | RegOp::Not { dst, .. }
+        | RegOp::Mov { dst, .. } => dst,
     }
 }
 
-/// Numeric widening, mirroring `Value::as_float` for `Int`/`Float`/`Bool`.
-fn tv_f64(t: TV) -> f64 {
-    match t {
-        TV::I(x) => x as f64,
-        TV::F(x) => x,
-        TV::B(b) => i64::from(b) as f64,
+fn regop_reads(r: &RegOp) -> [Option<usize>; 2] {
+    match *r {
+        RegOp::Bin { a, b, .. } | RegOp::Cmp { a, b, .. } | RegOp::Eq { a, b, .. } => {
+            [Some(a), Some(b)]
+        }
+        RegOp::Neg { a, .. } | RegOp::Not { a, .. } => [Some(a), None],
+        RegOp::Mov { src, .. } => [Some(src), None],
     }
 }
 
-/// Mirrors `Value::is_truthy` (`-0.0` falsy, NaN truthy).
-fn tv_truthy(t: TV) -> bool {
-    match t {
-        TV::I(x) => x != 0,
-        TV::F(x) => x != 0.0,
-        TV::B(b) => b,
+/// A register op with every type decision taken. Operands index the
+/// `f64` file (`F*`, `ToF`'s destination) or the `i64` file (`I*`,
+/// bools as 0/1, comparison results); `u8` indices into 256-entry
+/// files need no bounds checks.
+#[derive(Copy, Clone, Debug)]
+enum MOp {
+    FAdd(u8, u8, u8),
+    FSub(u8, u8, u8),
+    FMul(u8, u8, u8),
+    IAdd(u8, u8, u8),
+    ISub(u8, u8, u8),
+    IMul(u8, u8, u8),
+    /// `total_cmp` orderings of two floats, into the `i64` file.
+    FLt(u8, u8, u8),
+    FLe(u8, u8, u8),
+    FGt(u8, u8, u8),
+    FGe(u8, u8, u8),
+    /// `==` (or, with the flag, `!=`) of two floats / two ints or bools.
+    FEq(u8, u8, u8, bool),
+    IEq(u8, u8, u8, bool),
+    /// Widen an `Int`/`Bool` register in place: its `f64` image goes to
+    /// the same index of the float file, which holds nothing live while
+    /// the register's kind is not `Float`.
+    ToF(u8),
+    FNeg(u8, u8),
+    INeg(u8, u8),
+    FNot(u8, u8),
+    INot(u8, u8),
+    FMov(u8, u8),
+    IMov(u8, u8),
+    /// A constant bool: `Bool == number` is always false.
+    ISet(u8, bool),
+    /// The loop's exit test on an `f64` / `i64` register: stop the
+    /// iteration when it is falsy.
+    FTest(u8),
+    ITest(u8),
+}
+
+const FILE_LEN: usize = 256;
+const _: () = assert!(MAX_LOOP_REGS <= FILE_LEN);
+
+/// A typed loop's two unboxed register files, indexed by the loop's
+/// register numbers. Fixed arrays: entry and exit touch no heap.
+struct Files {
+    f: [f64; FILE_LEN],
+    i: [i64; FILE_LEN],
+}
+
+/// Run one iteration's ops; `false` when the exit test failed.
+fn exec_typed(ops: &[MOp], x: &mut Files) -> bool {
+    let Files { f, i } = x;
+    let ord = |f: &[f64; FILE_LEN], a: u8, b: u8| f[a as usize].total_cmp(&f[b as usize]);
+    for op in ops {
+        match *op {
+            MOp::FAdd(d, a, b) => f[d as usize] = f[a as usize] + f[b as usize],
+            MOp::FSub(d, a, b) => f[d as usize] = f[a as usize] - f[b as usize],
+            MOp::FMul(d, a, b) => f[d as usize] = f[a as usize] * f[b as usize],
+            MOp::IAdd(d, a, b) => i[d as usize] = i[a as usize].wrapping_add(i[b as usize]),
+            MOp::ISub(d, a, b) => i[d as usize] = i[a as usize].wrapping_sub(i[b as usize]),
+            MOp::IMul(d, a, b) => i[d as usize] = i[a as usize].wrapping_mul(i[b as usize]),
+            MOp::FLt(d, a, b) => i[d as usize] = i64::from(ord(f, a, b).is_lt()),
+            MOp::FLe(d, a, b) => i[d as usize] = i64::from(ord(f, a, b).is_le()),
+            MOp::FGt(d, a, b) => i[d as usize] = i64::from(ord(f, a, b).is_gt()),
+            MOp::FGe(d, a, b) => i[d as usize] = i64::from(ord(f, a, b).is_ge()),
+            MOp::FEq(d, a, b, ne) => {
+                i[d as usize] = i64::from((f[a as usize] == f[b as usize]) != ne)
+            }
+            MOp::IEq(d, a, b, ne) => {
+                i[d as usize] = i64::from((i[a as usize] == i[b as usize]) != ne)
+            }
+            MOp::ToF(r) => f[r as usize] = i[r as usize] as f64,
+            MOp::FNeg(d, a) => f[d as usize] = -f[a as usize],
+            MOp::INeg(d, a) => i[d as usize] = i[a as usize].wrapping_neg(),
+            MOp::FNot(d, a) => i[d as usize] = i64::from(f[a as usize] == 0.0),
+            MOp::INot(d, a) => i[d as usize] = i64::from(i[a as usize] == 0),
+            MOp::FMov(d, a) => f[d as usize] = f[a as usize],
+            MOp::IMov(d, a) => i[d as usize] = i[a as usize],
+            MOp::ISet(d, v) => i[d as usize] = i64::from(v),
+            MOp::FTest(c) if f[c as usize] == 0.0 => return false,
+            MOp::ITest(c) if i[c as usize] == 0 => return false,
+            MOp::FTest(_) | MOp::ITest(_) => {}
+        }
+    }
+    true
+}
+
+/// A loop lowered for one entry signature.
+struct Spec {
+    /// `(slot, kind)` for every slot the loop uses: the cache key, and
+    /// the load list at entry.
+    sig: Vec<(usize, Kind)>,
+    /// Each constant's `i64` and `f64` image, written once per entry.
+    consts: Vec<(u8, i64, f64)>,
+    /// Condition, exit test, body: one iteration.
+    code: Vec<MOp>,
+    /// `(slot, kind)` for every slot the body stores to.
+    writeback: Vec<(usize, Kind)>,
+}
+
+/// The typed half of a licensed [`LoopStep`].
+struct TypedLoop {
+    /// Slots the loop reads or writes, ascending. Only these need a
+    /// kind; a dead slot may hold anything.
+    used: Vec<usize>,
+    /// The specialization for the first stable signature the loop
+    /// entered with. Entries with another signature run boxed.
+    spec: OnceLock<Spec>,
+    /// Test hook: lower float `Sub` with swapped operands.
+    mutant: bool,
+}
+
+impl TypedLoop {
+    fn new(lp: &LoopStep, mutant: bool) -> TypedLoop {
+        let mut used = vec![false; lp.n_slots];
+        let mut mark = |r: usize| {
+            if let Some(u) = used.get_mut(r) {
+                *u = true;
+            }
+        };
+        for r in lp.cond_ops.iter().chain(&lp.body_ops) {
+            mark(regop_dst(r));
+            regop_reads(r).into_iter().flatten().for_each(&mut mark);
+        }
+        mark(lp.cond_reg);
+        let used = used.iter().enumerate().filter(|(_, &u)| u).map(|(s, _)| s).collect();
+        TypedLoop { used, spec: OnceLock::new(), mutant }
     }
 }
 
-/// The typed twin of [`exec_regops`]: infallible, because the op set was
-/// restricted by [`loop_regops_typed`] at compile time and `TV` is
-/// closed under it.
-fn exec_regops_tv(ops: &[RegOp], regs: &mut [TV]) {
-    use std::cmp::Ordering;
-    let cmp_ord = |op: &Op, ord: Ordering| match op {
-        Op::Lt => ord == Ordering::Less,
-        Op::Le => ord != Ordering::Greater,
-        Op::Gt => ord == Ordering::Greater,
-        _ => ord != Ordering::Less,
-    };
-    for r in ops {
-        match *r {
-            RegOp::Mov { dst, src } => regs[dst] = regs[src],
-            RegOp::Bin { ref op, dst, a, b } => {
-                regs[dst] = match (regs[a], regs[b]) {
-                    (TV::I(x), TV::I(y)) => TV::I(match op {
-                        Op::Add => x.wrapping_add(y),
-                        Op::Sub => x.wrapping_sub(y),
-                        Op::Mul => x.wrapping_mul(y),
-                        _ => unreachable!("loop_regops_typed admits only Add/Sub/Mul"),
-                    }),
-                    (x, y) => {
-                        let (x, y) = (tv_f64(x), tv_f64(y));
-                        TV::F(match op {
-                            Op::Add => x + y,
-                            Op::Sub => x - y,
-                            Op::Mul => x * y,
-                            _ => unreachable!("loop_regops_typed admits only Add/Sub/Mul"),
-                        })
+/// Lowers a loop's register code for one entry signature, tracking
+/// each register's kind at the current op.
+struct Lowering {
+    kinds: [Option<Kind>; MAX_LOOP_REGS],
+    /// Whether an `Int`/`Bool` register's `f64` image is current. Entry
+    /// writes both images of every slot and constant, so registers the
+    /// loop never writes start (and stay) widened.
+    widened: [bool; MAX_LOOP_REGS],
+    /// How many ops read each register (the exit test counts as one).
+    reads: [u16; MAX_LOOP_REGS],
+    n_slots: usize,
+    mutant: bool,
+}
+
+impl Lowering {
+    /// The register as a float operand, widening it if needed.
+    fn float(&mut self, r: usize, out: &mut Vec<MOp>) -> u8 {
+        if self.kinds[r] != Some(Kind::Float) && !self.widened[r] {
+            self.widened[r] = true;
+            out.push(MOp::ToF(r as u8));
+        }
+        r as u8
+    }
+
+    fn section(&mut self, ops: &[RegOp], out: &mut Vec<MOp>) {
+        let mut ops = ops.iter().peekable();
+        while let Some(r) = ops.next() {
+            let kind = kind_after(r, &self.kinds).expect("signature checked stable");
+            let [ka, kb] = regop_reads(r).map(|x| x.and_then(|x| self.kinds[x]));
+            let mut dst = regop_dst(r);
+            // A temporary read only by the store right after it: the op
+            // writes the slot itself.
+            if let Some(&&RegOp::Mov { dst: slot, src }) = ops.peek() {
+                if src == dst && dst >= self.n_slots && slot < self.n_slots && self.reads[dst] == 1
+                {
+                    dst = slot;
+                    ops.next();
+                }
+            }
+            let d = dst as u8;
+            let m = match *r {
+                RegOp::Bin { op, a, b, .. } if kind == Kind::Int => {
+                    let (a, b) = (a as u8, b as u8);
+                    match op {
+                        Op::Add => MOp::IAdd(d, a, b),
+                        Op::Sub => MOp::ISub(d, a, b),
+                        _ => MOp::IMul(d, a, b),
                     }
-                };
-            }
-            RegOp::Cmp { ref op, dst, a, b } => {
-                // `binop::compare` widens everything numeric to f64 and
-                // uses total_cmp — including Int/Int.
-                let ord = tv_f64(regs[a]).total_cmp(&tv_f64(regs[b]));
-                regs[dst] = TV::B(cmp_ord(op, ord));
-            }
-            RegOp::Eq { ne, dst, a, b } => {
-                // `Value::loose_eq`: Int/Float cross-compares widen, same
-                // variants use derived equality (NaN != NaN), and
-                // Bool-vs-numeric is always unequal.
-                let eq = match (regs[a], regs[b]) {
-                    (TV::I(x), TV::I(y)) => x == y,
-                    (TV::F(x), TV::F(y)) => x == y,
-                    (TV::B(x), TV::B(y)) => x == y,
-                    (TV::I(x), TV::F(y)) | (TV::F(y), TV::I(x)) => x as f64 == y,
-                    _ => false,
-                };
-                regs[dst] = TV::B(if ne { !eq } else { eq });
-            }
-            RegOp::Neg { dst, a } => {
-                regs[dst] = match regs[a] {
-                    TV::I(x) => TV::I(x.wrapping_neg()),
-                    t => TV::F(-tv_f64(t)),
-                };
-            }
-            RegOp::Not { dst, a } => regs[dst] = TV::B(!tv_truthy(regs[a])),
+                }
+                RegOp::Bin { op, a, b, .. } => {
+                    let (a, b) = (self.float(a, out), self.float(b, out));
+                    match op {
+                        Op::Add => MOp::FAdd(d, a, b),
+                        Op::Sub if self.mutant => MOp::FSub(d, b, a),
+                        Op::Sub => MOp::FSub(d, a, b),
+                        _ => MOp::FMul(d, a, b),
+                    }
+                }
+                RegOp::Cmp { op, a, b, .. } => {
+                    let (a, b) = (self.float(a, out), self.float(b, out));
+                    match op {
+                        Op::Lt => MOp::FLt(d, a, b),
+                        Op::Le => MOp::FLe(d, a, b),
+                        Op::Gt => MOp::FGt(d, a, b),
+                        _ => MOp::FGe(d, a, b),
+                    }
+                }
+                // `Value::loose_eq`: Int/Float widen, other equal kinds
+                // compare directly (NaN unequal), Bool/number never equal.
+                RegOp::Eq { ne, a, b, .. } => match (ka, kb) {
+                    (Some(Kind::Int), Some(Kind::Int)) | (Some(Kind::Bool), Some(Kind::Bool)) => {
+                        MOp::IEq(d, a as u8, b as u8, ne)
+                    }
+                    (Some(Kind::Bool), _) | (_, Some(Kind::Bool)) => MOp::ISet(d, ne),
+                    _ => MOp::FEq(d, self.float(a, out), self.float(b, out), ne),
+                },
+                RegOp::Neg { a, .. } if ka == Some(Kind::Int) => MOp::INeg(d, a as u8),
+                RegOp::Neg { a, .. } => MOp::FNeg(d, self.float(a, out)),
+                RegOp::Not { a, .. } if ka == Some(Kind::Float) => MOp::FNot(d, a as u8),
+                RegOp::Not { a, .. } => MOp::INot(d, a as u8),
+                RegOp::Mov { src, .. } if kind == Kind::Float => MOp::FMov(d, src as u8),
+                RegOp::Mov { src, .. } => MOp::IMov(d, src as u8),
+            };
+            out.push(m);
+            self.kinds[dst] = Some(kind);
+            self.widened[dst] = false;
         }
     }
 }
 
-/// Run a summary-licensed loop on the unboxed register file. Returns
-/// `None` (having touched nothing) when a *used* slot or constant holds
-/// a value `TV` can't represent — the generic executor handles those.
-/// Fuel accounting is identical to [`run_loop`]; there is no deopt path
-/// because every typed op is total.
-fn run_loop_typed(lp: &LoopStep, fr: &mut Frame, fuel: u64, ops: &mut u64) -> Option<Ctrl> {
+/// Specialize `lp` to the kinds `locals` enters with. `None` if a used
+/// slot holds a value outside `{Int, Float, Bool}` or the signature is
+/// unstable (some slot leaves the body with another kind than it
+/// entered with); nothing is allocated before both checks pass.
+fn specialize(lp: &LoopStep, t: &TypedLoop, locals: &[Value]) -> Option<Spec> {
+    let mut entry = [None; MAX_LOOP_REGS];
+    for &s in &t.used {
+        entry[s] = Some(kind_of(&locals[s])?);
+    }
+    for (r, v) in &lp.consts {
+        entry[*r] = kind_of(v);
+    }
+    let mut kinds = entry;
+    for r in lp.cond_ops.iter().chain(&lp.body_ops) {
+        kinds[regop_dst(r)] = Some(kind_after(r, &kinds)?);
+    }
+    if lp.writeback.iter().any(|&s| kinds[s] != entry[s]) {
+        return None;
+    }
+
+    let mut lw = Lowering {
+        kinds: entry,
+        widened: [true; MAX_LOOP_REGS],
+        reads: [0; MAX_LOOP_REGS],
+        n_slots: lp.n_slots,
+        mutant: t.mutant,
+    };
+    for r in lp.cond_ops.iter().chain(&lp.body_ops) {
+        lw.widened[regop_dst(r)] = false;
+        for a in regop_reads(r).into_iter().flatten() {
+            lw.reads[a] += 1;
+        }
+    }
+    lw.reads[lp.cond_reg] += 1;
+    let mut code = Vec::new();
+    lw.section(&lp.cond_ops, &mut code);
+    let c = lp.cond_reg as u8;
+    code.push(if lw.kinds[lp.cond_reg] == Some(Kind::Float) {
+        MOp::FTest(c)
+    } else {
+        MOp::ITest(c)
+    });
+    lw.section(&lp.body_ops, &mut code);
+
+    let image = |v: &Value| match *v {
+        Value::Int(x) => (x, x as f64),
+        Value::Float(x) => (0, x),
+        Value::Bool(b) => (i64::from(b), f64::from(u8::from(b))),
+        _ => unreachable!("typed constants are numeric"),
+    };
+    let kind = |s: usize| entry[s].expect("used slots have kinds");
+    Some(Spec {
+        sig: t.used.iter().map(|&s| (s, kind(s))).collect(),
+        consts: lp.consts.iter().map(|(r, v)| (*r as u8, image(v).0, image(v).1)).collect(),
+        code,
+        writeback: lp.writeback.iter().map(|&s| (s, kind(s))).collect(),
+    })
+}
+
+/// Tally of typed-loop entries on the calling thread; see [`loop_probe`].
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LoopProbe {
+    /// Specializations built (at most one per loop, barring a race).
+    pub specialized: u64,
+    /// Entries of licensed loops that ran specialized.
+    pub typed: u64,
+    /// Entries of licensed loops that ran boxed: an unrepresentable or
+    /// unstable signature, or not the cached one.
+    pub boxed: u64,
+}
+
+thread_local! {
+    static PROBE: std::cell::Cell<LoopProbe> = const {
+        std::cell::Cell::new(LoopProbe { specialized: 0, typed: 0, boxed: 0 })
+    };
+}
+
+fn probe(f: impl FnOnce(&mut LoopProbe)) {
+    PROBE.with(|p| {
+        let mut v = p.get();
+        f(&mut v);
+        p.set(v);
+    });
+}
+
+/// Test hook: the typed-loop tally of this thread since the last call,
+/// which resets it. Tests use it to pin when the specialized path runs.
+#[doc(hidden)]
+pub fn loop_probe() -> LoopProbe {
+    PROBE.with(|p| p.replace(LoopProbe::default()))
+}
+
+/// Run a summary-licensed loop specialized to its entry signature.
+/// Returns `None`, having touched nothing, when the frame's signature
+/// is not the cached one (or, with none cached yet, cannot be
+/// specialized): the boxed [`run_loop`] runs it instead. Fuel
+/// accounting, write-back and the exit pc are [`run_loop`]'s; there is
+/// no deopt path because every typed op is total.
+fn run_loop_typed(
+    lp: &LoopStep,
+    t: &TypedLoop,
+    fr: &mut Frame,
+    fuel: u64,
+    ops: &mut u64,
+) -> Option<Ctrl> {
     if fr.locals.len() != lp.n_slots {
         return None;
     }
-    let mut regs: Vec<TV> = Vec::with_capacity(lp.n_regs);
-    for (s, v) in fr.locals.iter().enumerate() {
-        regs.push(match tv_of(v) {
-            Some(t) => t,
-            // A slot the loop never touches may hold anything; it only
-            // needs a placeholder register.
-            None if !lp.used_slots.get(s).copied().unwrap_or(true) => TV::I(0),
-            None => return None,
-        });
+    let spec = match t.spec.get() {
+        Some(s) => s,
+        None => match specialize(lp, t, &fr.locals) {
+            Some(s) => {
+                probe(|p| p.specialized += 1);
+                t.spec.get_or_init(|| s)
+            }
+            None => {
+                probe(|p| p.boxed += 1);
+                return None;
+            }
+        },
+    };
+    // Load both images of every used slot and constant, checking each
+    // slot's kind against the cached signature.
+    let mut x = Files { f: [0.0; FILE_LEN], i: [0; FILE_LEN] };
+    for &(s, k) in &spec.sig {
+        (x.i[s], x.f[s]) = match (k, &fr.locals[s]) {
+            (Kind::Int, Value::Int(v)) => (*v, *v as f64),
+            (Kind::Float, Value::Float(v)) => (0, *v),
+            (Kind::Bool, Value::Bool(v)) => (i64::from(*v), f64::from(u8::from(*v))),
+            _ => {
+                probe(|p| p.boxed += 1);
+                return None;
+            }
+        };
     }
-    regs.resize(lp.n_regs, TV::I(0));
-    for (r, v) in &lp.consts {
-        *regs.get_mut(*r)? = tv_of(v)?;
+    probe(|p| p.typed += 1);
+    for &(r, i, f) in &spec.consts {
+        (x.i[r as usize], x.f[r as usize]) = (i, f);
     }
     let per = u64::from(lp.per_iter);
     let budget = (fuel - *ops) / per;
-    let write_back = |fr: &mut Frame, regs: &[TV]| {
-        for &s in &lp.writeback {
-            fr.locals[s] = tv_value(regs[s]);
+    let write_back = |fr: &mut Frame, x: &Files| {
+        for &(s, k) in &spec.writeback {
+            fr.locals[s] = match k {
+                Kind::Int => Value::Int(x.i[s]),
+                Kind::Float => Value::Float(x.f[s]),
+                Kind::Bool => Value::Bool(x.i[s] != 0),
+            };
         }
     };
     let mut done: u64 = 0;
     while done < budget {
-        exec_regops_tv(&lp.cond_ops, &mut regs);
-        if !tv_truthy(regs[lp.cond_reg]) {
-            write_back(fr, &regs);
+        if !exec_typed(&spec.code, &mut x) {
+            write_back(fr, &x);
             *ops += done * per + u64::from(lp.cond_need);
             fr.pc = lp.exit;
             return Some(Ctrl::Next);
         }
-        exec_regops_tv(&lp.body_ops, &mut regs);
         done += 1;
     }
-    write_back(fr, &regs);
+    write_back(fr, &x);
     *ops += done * per;
     Some(Ctrl::Next)
 }
@@ -1781,7 +2091,7 @@ mod tests {
         use crate::summary::{FnSummary, SummaryTable};
         // while (i < 10) { acc = acc + i * 2; i = i + 1; } return acc —
         // same loop as arithmetic_loop_matches_interpreter, now licensed
-        // for the unboxed typed register file.
+        // for the specialized typed path.
         let mut b = Builder::new();
         let c0 = b.constant(Value::Int(0));
         let c1 = b.constant(Value::Int(1));

@@ -168,11 +168,16 @@ for field in '"code":"N303"' '"severity":"warning"' '"function":"w"' '"pc":' '"l
 done
 rm -rf "$dirty_dir"
 cargo test -q --offline -p msgr-vm --test diff_props summaries
+# Typed loops run specialized to their entry kinds; the differential
+# property over generated licensed loops (edge values, unstable kinds,
+# every fuel level) gets 4096 cases here instead of the default 128.
+MSGR_CHECK_CASES=4096 cargo test -q --release --offline -p msgr-vm --test typed_loops \
+    typed_loops_match_the_interpreter_at_every_fuel
 analysis_dir="$(mktemp -d)"
 ./target/release/ablation_compile --summaries --smoke > "$analysis_dir/BENCH_0008.smoke.json"
 ./target/release/ablation_compile --check "$analysis_dir/BENCH_0008.smoke.json"
 rm -rf "$analysis_dir"
-echo "ok: apps lint-clean, summaries stable, smoke schema-valid"
+echo "ok: apps lint-clean, summaries stable, typed loops exact, smoke schema-valid"
 
 echo "== profile: cost attribution end to end (BENCH_0010) =="
 # The deterministic profiler (DESIGN.md §13). Four guarantees, checked
